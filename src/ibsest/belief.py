@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
-SUM_TOL = 1e-9
+import numpy as np
+
+SUM_TOL = 1e-9  # on sum(a) <= 1 <= sum(b): for validate_ibs and mass_residual
 CRISP_TOL = 1e-12
 
 
@@ -132,6 +135,17 @@ def validate_ibs(structure: IntervalBeliefStructure) -> ValidityReport:
     return ValidityReport(ok=not violations, violations=violations, warnings=warnings)
 
 
+def mass_residual(lowers, uppers) -> float:
+    """Mass to distribute above the lower bounds: 1 - sum(lowers), at least 0.
+
+    Raises ValueError on a box :func:`validate_ibs` rejects.
+    """
+    sum_a = sum(lowers)
+    if sum_a > 1.0 + SUM_TOL or sum(uppers) < 1.0 - SUM_TOL:
+        raise ValueError("infeasible mass box")
+    return max(1.0 - sum_a, 0.0)
+
+
 def is_crisp(structure: IntervalBeliefStructure) -> bool:
     """True iff every mass interval is a point and the masses sum to 1."""
     if any(e.lower != e.upper for e in structure.entries):
@@ -156,3 +170,41 @@ class ObservationSet:
     @property
     def size(self) -> int:
         return len(self.observations)
+
+    @cached_property
+    def tables(self) -> MassTables:
+        """The observations compiled for the batched likelihood kernel."""
+        return MassTables.compile(self)
+
+
+@dataclass(frozen=True)
+class MassTables:
+    """Observations padded to K focal elements of M members each.
+
+    ``members[o, e]``: member hypothesis indices of focal element e of
+    observation o, padded with q, the index of a zero column. ``a`` and
+    ``cap`` (b - a) are 0 for padding entries, so these take no mass.
+    """
+
+    members: np.ndarray  # (n, K, M) int
+    a: np.ndarray  # (n, K)
+    cap: np.ndarray  # (n, K)
+    residual: np.ndarray  # (n,): mass_residual of each box
+
+    @staticmethod
+    def compile(observations: ObservationSet) -> MassTables:
+        obs = observations.observations
+        index = {h: i for i, h in enumerate(observations.frame.hypotheses)}
+        k = max(len(o.entries) for o in obs)
+        m = max(len(e.focal.members) for o in obs for e in o.entries)
+        members = np.full((len(obs), k, m), len(index), dtype=np.intp)
+        a, cap, residual = np.zeros((len(obs), k)), np.zeros((len(obs), k)), []
+        for i, o in enumerate(obs):
+            try:
+                residual.append(mass_residual(o.lowers, o.uppers))
+            except ValueError as exc:
+                raise ValueError(f"observation {o.label!r}: {exc}") from None
+            for j, e in enumerate(o.entries):
+                members[i, j, : len(e.focal.members)] = [index[h] for h in e.focal.members]
+                a[i, j], cap[i, j] = e.lower, e.upper - e.lower
+        return MassTables(members, a, cap, np.array(residual))

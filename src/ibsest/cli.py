@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -49,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated alpha values (default 1,2,3,4,5)")
     p_est.add_argument("--seed", type=int, default=42)
     p_est.add_argument("--restarts", type=int, default=64)
-    p_est.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_est.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; ignored")
     p_est.add_argument("--out", type=Path, default=None,
                        help="write the structured report to this file")
 
@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--fixtures", type=Path, default=None)
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--restarts", type=int, default=64)
-    p_ver.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_ver.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; ignored")
     return parser
 
 
@@ -85,7 +86,7 @@ def cmd_estimate(args) -> int:
             for v in report.violations:
                 print(f"  {v}", file=sys.stderr)
             return EXIT_FAILURE
-    cfg = EstimatorConfig(seed=args.seed, restarts=args.restarts, workers=args.workers)
+    cfg = EstimatorConfig(seed=args.seed, restarts=args.restarts)
     results = alpha_sweep(observations, args.alpha, cfg)
     print(render_table(results))
     if args.out is not None:
@@ -97,8 +98,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_verify(args) -> int:
     results = verify_mod.run_all(
-        fixtures=args.fixtures, seed=args.seed, restarts=args.restarts,
-        workers=args.workers,
+        fixtures=args.fixtures, seed=args.seed, restarts=args.restarts
     )
     all_ok = True
     for check in results:

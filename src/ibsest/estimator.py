@@ -4,21 +4,21 @@ The objective rewards interval-likelihood magnitude (distance of the
 joint likelihood interval from [0, 0]) and penalizes parameter
 ignorance. It is maximized by a deterministic multi-start coordinate
 pattern search over the 2q bound variables, with a repair step that
-keeps every evaluated parameter feasible.
+keeps every evaluated parameter feasible. All restarts advance in
+lockstep rounds, each round one batched evaluation (see
+:func:`_pattern_search`).
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .belief import ObservationSet, validate_ibs
-from .intervalprob import IntervalProbabilities, ignorance, is_feasible
+from .belief import MassTables, ObservationSet, validate_ibs
+from .intervalprob import IntervalProbabilities, ignorance
 from .intervals import Interval, interval_distance
-from .likelihood import joint_likelihood, joint_likelihood_bounds, prepare_observations
+from .likelihood import joint_likelihood, likelihood_bounds, sum_in_order
 
 _ZERO = Interval(0.0, 0.0)
 _MIN_STEP = 1e-6
@@ -32,16 +32,13 @@ class EstimatorConfig:
     max_iterations_per_start: int = 2000
     convergence_tol: float = 1e-8
     seed: int = 42
-    penalty_weight: float = 1e3
-    workers: int = 1
+    workers: int = 1  # accepted and ignored: all restarts run in one process
 
     def __post_init__(self):
         if self.alpha < 1.0:
             raise ValueError("alpha must be >= 1")
         if self.restarts <= 0 or self.max_iterations_per_start <= 0:
             raise ValueError("restarts and iteration budget must be positive")
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,100 +69,110 @@ def objective(
     theta: IntervalProbabilities, observations: ObservationSet, alpha: float
 ) -> float:
     """Distance of the joint likelihood interval from [0,0], minus ignorance."""
-    if not is_feasible(theta):
-        raise ValueError("theta must be feasible")
-    like = joint_likelihood(observations, theta)
+    like = joint_likelihood(observations, theta)  # raises if theta is infeasible
     return interval_distance(like.value, _ZERO) - ignorance(theta, alpha)
 
 
-def _repair(x, q: int):
-    """Map a raw box vector to feasible (lo, hi) bound lists.
+def _repair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map raw (N, 2q) box vectors to feasible (lo, hi) bound arrays.
 
     Orders each pair, rescales lowers when they oversum, and raises
     uppers proportionally toward 1 when they undersum.
     """
-    lo = [0.0] * q
-    hi = [0.0] * q
-    for i in range(q):
-        a = min(max(x[i], 0.0), 1.0)
-        b = min(max(x[q + i], 0.0), 1.0)
-        lo[i], hi[i] = (a, b) if a <= b else (b, a)
-    slo = sum(lo)
-    if slo > 1.0:
-        lo = [v / slo for v in lo]
-    shi = sum(hi)
-    if shi < 1.0:
-        total = q - shi  # sum of room toward 1
-        if total > 0.0:
-            scale = (1.0 - shi) / total
-            hi = [v + scale * (1.0 - v) for v in hi]
-        else:
-            hi = [1.0] * q
+    q = x.shape[1] // 2
+    lo = np.clip(np.minimum(x[:, :q], x[:, q:]), 0.0, 1.0)
+    hi = np.clip(np.maximum(x[:, :q], x[:, q:]), 0.0, 1.0)
+    s_lo = sum_in_order(lo)
+    lo = lo / np.where(s_lo > 1.0, s_lo, 1.0)[:, None]
+    s_hi = sum_in_order(hi)
+    short = s_hi < 1.0
+    # q - s_hi > 0 wherever s_hi < 1: the room left toward 1
+    scale = np.divide(1.0 - s_hi, q - s_hi, out=np.zeros_like(s_hi), where=short)
+    hi = np.where(short[:, None], hi + scale[:, None] * (1.0 - hi), hi)
     return lo, hi
 
 
-def _penalized_objective(x, q, obs_data, alpha, penalty_weight):
-    lo, hi = _repair(x, q)
-    llo, lhi = joint_likelihood_bounds(obs_data, lo, hi)
-    mid = (llo + lhi) / 2.0
-    hw = (lhi - llo) / 2.0
-    dist = math.sqrt(mid * mid + hw * hw / 3.0)
-    ign = sum((h - l) ** alpha for l, h in zip(lo, hi)) / q
-    violation = max(0.0, sum(lo) - 1.0) + max(0.0, 1.0 - sum(hi))
-    return dist - ign - penalty_weight * violation * violation
+def _objective_batch(tables: MassTables, x: np.ndarray, alpha: float) -> np.ndarray:
+    """Distance minus ignorance at each repaired row of the (N, 2q) batch.
 
-
-def _moves(q: int):
-    """Move set: each move is a list of (coordinate, sign) offsets.
-
-    Singles adjust one bound; paired shifts move an interval rigidly;
-    transfers move probability mass between two hypotheses while
-    keeping both bound sums fixed. The latter two let point-valued
-    intervals migrate without first widening, which the ignorance term
-    would veto.
+    ``float_power`` rounds as Python's ``**`` does (numpy's ``power`` may
+    not), which keeps the search paths of the scalar objective.
     """
-    moves = [[(i, 1.0)] for i in range(2 * q)]
-    moves += [[(i, 1.0), (q + i, 1.0)] for i in range(q)]
-    moves += [
-        [(i, 1.0), (q + i, 1.0), (j, -1.0), (q + j, -1.0)]
-        for i in range(q)
-        for j in range(i + 1, q)
-    ]
-    return moves
+    lo, hi = _repair(x)
+    l_lo, l_hi = likelihood_bounds(tables, lo, hi)
+    mid = (l_lo + l_hi) / 2.0
+    hw = (l_hi - l_lo) / 2.0
+    dist = np.sqrt(mid * mid + hw * hw / 3.0)
+    ign = sum_in_order(np.float_power(hi - lo, alpha)) / lo.shape[1]
+    return dist - ign
 
 
-def _pattern_search(x0, q, obs_data, alpha, config):
-    f = _penalized_objective(x0, q, obs_data, alpha, config.penalty_weight)
-    x = list(x0)
-    moves = _moves(q)
-    step = _INITIAL_STEP
-    sweeps = 0
-    converged = False
-    while sweeps < config.max_iterations_per_start:
-        sweeps += 1
-        gain = 0.0
-        for move in moves:
-            for delta in (step, -step):
-                trial = list(x)
-                changed = False
-                for i, sign in move:
-                    xi = min(max(x[i] + sign * delta, 0.0), 1.0)
-                    if xi != x[i]:
-                        trial[i] = xi
-                        changed = True
-                if not changed:
-                    continue
-                ft = _penalized_objective(
-                    trial, q, obs_data, alpha, config.penalty_weight
-                )
-                if ft > f:
-                    gain += ft - f
-                    x, f = trial, ft
-        if gain <= config.convergence_tol:
-            step /= 2.0
-            if step < _MIN_STEP:
-                converged = True
-                break
+def _trial_offsets(q: int) -> np.ndarray:
+    """One sweep's trials in polling order, as offsets in units of the step.
+
+    Each move is polled at +step, then at -step. Singles adjust one
+    bound; paired shifts move an interval rigidly; transfers move
+    probability mass between two hypotheses while keeping both bound
+    sums fixed. The latter two let point-valued intervals migrate without
+    first widening, which the ignorance term would veto.
+    """
+    unit = np.eye(2 * q)
+    shift = unit[:q] + unit[q:]
+    transfers = [shift[i] - shift[j] for i in range(q) for j in range(i + 1, q)]
+    return np.array([s * m for m in [*unit, *shift, *transfers] for s in (1.0, -1.0)])
+
+
+def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
+                    config: EstimatorConfig):
+    """Opportunistic (accept-first) pattern search from each row of ``x0``.
+
+    Per restart, a sweep polls the trials in order and moves to each one
+    that improves the objective; a sweep gaining no more than the
+    tolerance halves the step, until it falls below the minimum
+    (converged) or the sweep budget is spent. The restarts run in rounds:
+    each submits every trial left in its sweep, built from its current
+    point, to one batched evaluation, then takes its first improving
+    trial, the one a lone restart would take, and resubmits the trials
+    after it from the new point in the next round.
+    """
+    offsets = _trial_offsets(x0.shape[1] // 2)
+    n_trials = len(offsets)
+    x = x0.copy()
+    f = _objective_batch(tables, x, alpha)
+    step = np.full(len(x), _INITIAL_STEP)
+    sweeps = np.ones(len(x), dtype=int)
+    gain = np.zeros(len(x))
+    pos = np.zeros(len(x), dtype=int)  # next trial of the current sweep
+    converged = np.zeros(len(x), dtype=bool)
+    running = np.ones(len(x), dtype=bool)
+    while running.any():
+        run = np.flatnonzero(running)
+        here = x[run, None, :]
+        trials = np.clip(here + step[run, None, None] * offsets, 0.0, 1.0)
+        # a trial clipped back onto the current point is skipped, not polled
+        todo = (np.arange(n_trials) >= pos[run, None]) & (trials != here).any(axis=2)
+        values = np.full(todo.shape, -np.inf)
+        values[todo] = _objective_batch(tables, trials[todo], alpha)
+        better = values > f[run, None]
+        hit = better.any(axis=1)
+        first = better.argmax(axis=1)[hit]
+        moved = run[hit]
+        gain[moved] += values[hit, first] - f[moved]
+        f[moved] = values[hit, first]
+        x[moved] = trials[hit, first]
+        pos[moved] = first + 1
+        pos[run[~hit]] = n_trials
+
+        ended = run[pos[run] == n_trials]
+        flat = ended[gain[ended] <= config.convergence_tol]
+        step[flat] /= 2.0
+        converged[flat[step[flat] < _MIN_STEP]] = True
+        running[ended[converged[ended]]] = False
+        running[ended[sweeps[ended] >= config.max_iterations_per_start]] = False
+        again = ended[running[ended]]
+        sweeps[again] += 1
+        gain[again] = 0.0
+        pos[again] = 0
     return x, f, sweeps, converged
 
 
@@ -180,20 +187,14 @@ def _initial_point(restart: int, q: int, seed: int) -> list:
     return list(rng.random(2 * q))
 
 
-def _run_restart(args):
-    restart, q, obs_data, alpha, config = args
-    x0 = _initial_point(restart, q, config.seed)
-    x, f, sweeps, converged = _pattern_search(x0, q, obs_data, alpha, config)
-    return restart, x, f, sweeps, converged
-
-
 def estimate(
     observations: ObservationSet, config: EstimatorConfig = EstimatorConfig()
 ) -> EstimationResult:
     """Multi-start search for the maximizing interval probabilities.
 
     Deterministic given the config seed; the best restart wins, ties
-    broken by lowest restart index.
+    broken by lowest restart index. A restart's search does not depend
+    on the number of restarts.
     """
     for obs in observations.observations:
         report = validate_ibs(obs)
@@ -202,29 +203,25 @@ def estimate(
                 f"invalid observation {obs.label!r}: {'; '.join(report.violations)}"
             )
     q = observations.frame.size
-    obs_data = prepare_observations(observations)
-    jobs = [(r, q, obs_data, config.alpha, config) for r in range(config.restarts)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_run_restart, jobs, chunksize=4))
-    else:
-        outcomes = [_run_restart(job) for job in jobs]
-    outcomes.sort(key=lambda o: o[0])
+    x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
+    x, f, sweeps, converged = _pattern_search(
+        observations.tables, x0, config.alpha, config
+    )
 
-    best = max(outcomes, key=lambda o: o[2])  # max objective, first index wins ties
-    _, x_best, _, _, _ = best
-    lo, hi = _repair(x_best, q)
+    best = int(np.argmax(f))  # max objective, first index wins ties
+    lo, hi = _repair(x[best : best + 1])
     theta = IntervalProbabilities(
         observations.frame,
-        tuple(float(v) for v in lo),
-        tuple(float(v) for v in hi),
+        tuple(float(v) for v in lo[0]),
+        tuple(float(v) for v in hi[0]),
     )
     like = joint_likelihood(observations, theta)
     dist = interval_distance(like.value, _ZERO)
     ign = ignorance(theta, config.alpha)
     diagnostics = tuple(
-        RestartDiagnostics(restart=o[0], objective=o[2], sweeps=o[3], converged=o[4])
-        for o in outcomes
+        RestartDiagnostics(restart=r, objective=float(f[r]), sweeps=int(sweeps[r]),
+                           converged=bool(converged[r]))
+        for r in range(config.restarts)
     )
     return EstimationResult(
         theta=theta,
@@ -246,16 +243,7 @@ def alpha_sweep(
     """Run the estimator once per alpha, with per-alpha derived seeds."""
     if not alphas:
         raise ValueError("alphas must be non-empty")
-    results = []
-    for i, alpha in enumerate(alphas):
-        cfg = EstimatorConfig(
-            alpha=alpha,
-            restarts=config.restarts,
-            max_iterations_per_start=config.max_iterations_per_start,
-            convergence_tol=config.convergence_tol,
-            seed=config.seed + 1009 * i,
-            penalty_weight=config.penalty_weight,
-            workers=config.workers,
-        )
-        results.append(estimate(observations, cfg))
-    return results
+    return [
+        estimate(observations, replace(config, alpha=alpha, seed=config.seed + 1009 * i))
+        for i, alpha in enumerate(alphas)
+    ]

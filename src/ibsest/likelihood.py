@@ -5,6 +5,9 @@ parameter; a whole interval-valued observation requires the inner
 min/max program over its mass box, solved here by endpoint selection
 plus a greedy fill (exact for this LP class) and cross-checked by a
 vertex-enumeration brute force.
+The joint likelihood is computed by one batched kernel,
+:func:`likelihood_bounds`, which repeats the scalar path's floating-point
+operations in order, so its bounds equal the scalar ones bit for bit.
 """
 
 from __future__ import annotations
@@ -14,12 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import FocalElement, IntervalBeliefStructure, ObservationSet
+from .belief import (
+    FocalElement,
+    IntervalBeliefStructure,
+    MassTables,
+    ObservationSet,
+    mass_residual,
+)
 from .intervalprob import IntervalProbabilities, is_feasible
-from .intervals import Interval, product
+from .intervals import Interval
 
 CLAMP_TOL = 1e-9
 MASS_SUM_TOL = 1e-12
+_CHUNK_ELEMENTS = 1 << 21  # per kernel call: 16 MB of float64 in the largest array
 
 
 @dataclass(frozen=True)
@@ -88,9 +98,7 @@ def _greedy_mass_value(a, b, c, maximize):
     at its upper bound. Ties break by ascending focal-element index.
     Returns (value, m).
     """
-    residual = 1.0 - sum(a)
-    if residual < -MASS_SUM_TOL or sum(b) < 1.0 - MASS_SUM_TOL:
-        raise ValueError("infeasible mass box")
+    residual = mass_residual(a, b)
     m = list(a)
     n = len(a)
     if maximize:
@@ -139,15 +147,23 @@ def ibs_likelihood(
     v_hi, m_hi = _greedy_mass_value(a, b, c_hi, maximize=True)
     lower = InnerProgramSolution("lower", v_lo, tuple(m_lo), tuple(c_lo))
     upper = InnerProgramSolution("upper", v_hi, tuple(m_hi), tuple(c_hi))
+    like = LikelihoodInterval(_bounds_interval(v_lo, v_hi), source=f"ibs:{obs.label}")
+    return like, lower, upper
+
+
+def _bounds_interval(v_lo: float, v_hi: float) -> Interval:
+    """The inner program's bounds clamped to [0, 1].
+
+    Bounds of a degenerate interval, which cross in rounding only, meet
+    at their midpoint.
+    """
     lo = min(max(v_lo, 0.0), 1.0)
     hi = min(max(v_hi, 0.0), 1.0)
     if lo > hi:
-        # degenerate interval: the two greedy fills differ only in rounding
         if lo - hi > CLAMP_TOL:
             raise AssertionError(f"inner program bounds crossed: {lo} > {hi}")
         lo = hi = (lo + hi) / 2.0
-    like = LikelihoodInterval(Interval(lo, hi), source=f"ibs:{obs.label}")
-    return like, lower, upper
+    return Interval(lo, hi)
 
 
 def _mass_vertices(a, b):
@@ -212,52 +228,74 @@ def ibs_likelihood_bruteforce(
     if not np.isfinite(best_lo):
         raise ValueError("infeasible mass box")
     return LikelihoodInterval(
-        Interval(min(max(best_lo, 0.0), 1.0), min(max(best_hi, 0.0), 1.0)),
-        source=f"ibs-bruteforce:{obs.label}",
+        _bounds_interval(best_lo, best_hi), source=f"ibs-bruteforce:{obs.label}"
     )
+
+
+def sum_in_order(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right, as the builtin ``sum``.
+
+    (numpy's ``sum`` adds pairwise; ``cumsum`` is slow on short axes.)
+    """
+    total = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        total = total + x[..., j]
+    return total
+
+
+def likelihood_bounds(
+    tables: MassTables, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint likelihood bounds at each row of the (N, q) bound arrays.
+
+    Subset bounds, the greedy inner program of :func:`ibs_likelihood` for
+    every observation (a stable argsort, a K-step fill, a scatter back),
+    then the product over observations. The numpy operation count does
+    not grow with the number of observations; rows are independent.
+    """
+    rows = max(1, _CHUNK_ELEMENTS // (2 * tables.members.size))
+    if lo.shape[0] > rows:
+        parts = [likelihood_bounds(tables, lo[i : i + rows], hi[i : i + rows])
+                 for i in range(0, lo.shape[0], rows)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    n_rows, q = lo.shape
+    theta = np.zeros((2, n_rows, q + 1))  # column q is the padding zero
+    theta[0, :, :q] = lo
+    theta[1, :, :q] = hi
+    s_lo, s_hi = sum_in_order(theta[:, :, :q])[:, :, None, None]
+    in_lo, in_hi = sum_in_order(theta[:, :, tables.members])  # each (N, n, K)
+    c_lo = np.minimum(np.maximum(np.maximum(in_lo, 1.0 - (s_hi - in_hi)), 0.0), 1.0)
+    c_hi = np.minimum(np.maximum(np.minimum(in_hi, 1.0 - (s_lo - in_lo)), 0.0), 1.0)
+
+    # Greedy fill: ascending cost for the lower bound, descending for the
+    # upper; the stable sort breaks ties by focal-element index.
+    order = np.argsort(np.stack([c_lo, -c_hi]), axis=-1, kind="stable")
+    n_obs, k_max = tables.cap.shape
+    order = order.reshape(-1, n_obs, k_max)
+    cap = tables.cap[np.arange(n_obs)[:, None], order]
+    residual = tables.residual
+    take = np.empty_like(cap)
+    for k in range(k_max):
+        take[..., k] = np.maximum(np.minimum(cap[..., k], residual), 0.0)
+        residual = residual - take[..., k]
+    mass = np.empty_like(take)
+    mass[np.arange(len(order))[:, None, None], np.arange(n_obs)[:, None], order] = take
+    mass += tables.a
+    value = sum_in_order(mass.reshape(2, n_rows, n_obs, k_max) * np.stack([c_lo, c_hi]))
+    v_lo, v_hi = np.minimum(np.maximum(value, 0.0), 1.0)  # each (N, n)
+
+    crossed, mid = v_lo > v_hi, (v_lo + v_hi) / 2.0  # as in _bounds_interval
+    v_lo, v_hi = np.where(crossed, mid, v_lo), np.where(crossed, mid, v_hi)
+    return np.cumprod(v_lo, axis=-1)[:, -1], np.cumprod(v_hi, axis=-1)[:, -1]
 
 
 def joint_likelihood(
     observations: ObservationSet, theta: IntervalProbabilities
 ) -> LikelihoodInterval:
     """Product, in observation order, of the per-observation likelihoods."""
-    acc = Interval(1.0, 1.0)
-    for obs in observations.observations:
-        like, _, _ = ibs_likelihood(obs, theta)
-        acc = product(acc, like.value)
-    return LikelihoodInterval(acc, source="joint")
-
-
-def joint_likelihood_bounds(obs_data, lo, hi):
-    """Fast path used by the estimator's inner loop.
-
-    obs_data comes from :func:`prepare_observations`; (lo, hi) are the
-    parameter bound sequences. Same algorithm as :func:`joint_likelihood`.
-    """
-    slo, shi = sum(lo), sum(hi)
-    acc_lo = 1.0
-    acc_hi = 1.0
-    for idxs, a, b in obs_data:
-        c_lo = []
-        c_hi = []
-        for idx in idxs:
-            in_lo = sum(lo[i] for i in idx)
-            in_hi = sum(hi[i] for i in idx)
-            cl = max(in_lo, 1.0 - (shi - in_hi))
-            ch = min(in_hi, 1.0 - (slo - in_lo))
-            c_lo.append(min(max(cl, 0.0), 1.0))
-            c_hi.append(min(max(ch, 0.0), 1.0))
-        v_lo, _ = _greedy_mass_value(a, b, c_lo, maximize=False)
-        v_hi, _ = _greedy_mass_value(a, b, c_hi, maximize=True)
-        acc_lo *= min(max(v_lo, 0.0), 1.0)
-        acc_hi *= min(max(v_hi, 0.0), 1.0)
-    return acc_lo, acc_hi
-
-
-def prepare_observations(observations: ObservationSet):
-    """Precompute focal-element indices and mass boxes for the fast path."""
-    data = []
-    for obs in observations.observations:
-        idxs = [e.focal.indices(obs.frame) for e in obs.entries]
-        data.append((idxs, list(obs.lowers), list(obs.uppers)))
-    return data
+    if not is_feasible(theta):
+        raise ValueError("theta must be feasible")
+    lo, hi = likelihood_bounds(
+        observations.tables, np.array([theta.lowers]), np.array([theta.uppers])
+    )
+    return LikelihoodInterval(Interval(float(lo[0]), float(hi[0])), source="joint")

@@ -33,9 +33,9 @@ def fixture_dir() -> Path:
     return Path(resources.files("ibsest") / "fixtures")
 
 
-def _estimate(path, alpha, seed, restarts, workers=1):
+def _estimate(path, alpha, seed, restarts):
     obs = parse_observation_file(path)
-    cfg = EstimatorConfig(alpha=alpha, seed=seed, restarts=restarts, workers=workers)
+    cfg = EstimatorConfig(alpha=alpha, seed=seed, restarts=restarts)
     return obs, estimate(obs, cfg)
 
 
@@ -73,15 +73,13 @@ def check_objective_dominance(
     alphas,
     seed=42,
     restarts=64,
-    workers=1,
 ) -> list[CheckResult]:
     """Achieved objective must match or beat the reference row's objective."""
     obs = parse_observation_file(fixtures / obs_name)
     rows = {row.alpha: row for row in parse_expected_file(fixtures / expected_name)}
     results = []
     for alpha in alphas:
-        cfg = EstimatorConfig(alpha=alpha, seed=seed, restarts=restarts,
-                              workers=workers)
+        cfg = EstimatorConfig(alpha=alpha, seed=seed, restarts=restarts)
         res = estimate(obs, cfg)
         ref = objective(rows[alpha].theta, obs, alpha)
         ok = res.objective >= ref - 1e-3
@@ -95,9 +93,9 @@ def check_objective_dominance(
     return results
 
 
-def check_concentration(fixtures: Path, seed=42, restarts=64, workers=1) -> CheckResult:
+def check_concentration(fixtures: Path, seed=42, restarts=64) -> CheckResult:
     """Alpha=1 on the trustworthiness data concentrates on VeryGood."""
-    obs, res = _estimate(fixtures / "table5.obs", 1.0, seed, restarts, workers)
+    obs, res = _estimate(fixtures / "table5.obs", 1.0, seed, restarts)
     i = obs.frame.index("VeryGood")
     others_ok = all(
         res.theta.uppers[j] <= 0.01 for j in range(obs.frame.size) if j != i
@@ -161,8 +159,7 @@ def check_oracle_equivalence(count=1000, seed=1234) -> CheckResult:
     )
 
 
-def run_all(fixtures: Path | None = None, seed=42, restarts=64,
-            workers=1) -> list[CheckResult]:
+def run_all(fixtures: Path | None = None, seed=42, restarts=64) -> list[CheckResult]:
     fixtures = fixtures or fixture_dir()
     results = [
         check_crisp_reproduction(fixtures, seed=seed, restarts=restarts),
@@ -170,13 +167,12 @@ def run_all(fixtures: Path | None = None, seed=42, restarts=64,
     ]
     results += check_objective_dominance(
         fixtures, "table3.obs", "table4.expected", [1.0, 2.0, 3.0],
-        seed=seed, restarts=restarts, workers=workers,
+        seed=seed, restarts=restarts,
     )
-    results.append(check_concentration(fixtures, seed=seed, restarts=restarts,
-                                       workers=workers))
+    results.append(check_concentration(fixtures, seed=seed, restarts=restarts))
     results += check_objective_dominance(
         fixtures, "table5.obs", "table6.expected", [2.0, 3.0, 4.0, 5.0],
-        seed=seed, restarts=restarts, workers=workers,
+        seed=seed, restarts=restarts,
     )
     results.append(check_oracle_equivalence())
     return results

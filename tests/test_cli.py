@@ -143,6 +143,25 @@ class TestEstimateCommand:
     def test_bad_alpha_flag_exits_two(self, fixtures):
         assert main(["estimate", str(fixtures / "table1.obs"), "--alpha", "0.5"]) == 2
 
+    def test_file_that_validates_also_estimates(self, tmp_path, capsys):
+        # upper masses sum to 1 - 2e-10: inside the validation tolerance
+        f = tmp_path / "near.obs"
+        f.write_text("frame: a, b\n\nobs: 1\n  {a} 0.2, 0.4999999998\n"
+                     "  {b} 0.3, 0.5\n")
+        assert main(["validate", str(f)]) == 0
+        assert main(["estimate", str(f), "--alpha", "1", "--restarts", "2"]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    def test_workers_flag_changes_nothing(self, fixtures, tmp_path, capsys):
+        reports = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"r{workers}.txt"
+            assert main(["estimate", str(fixtures / "table1.obs"), "--alpha", "2",
+                         "--restarts", "4", "--workers", workers,
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestVerifyCommand:
     def test_corrupted_fixture_fails_by_name(self, fixtures, tmp_path, capsys):

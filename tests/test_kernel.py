@@ -1,0 +1,180 @@
+"""The batched objective kernel and the lockstep search against their
+scalar references."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from ibsest import (
+    EstimatorConfig,
+    FocalElement,
+    Frame,
+    IntervalBeliefStructure,
+    IntervalProbabilities,
+    MassEntry,
+    ObservationSet,
+    estimate,
+    ibs_likelihood,
+    ibs_likelihood_bruteforce,
+    joint_likelihood,
+)
+from ibsest import estimator, likelihood
+from ibsest.estimator import _initial_point, _objective_batch, _repair, _trial_offsets
+from ibsest.likelihood import likelihood_bounds
+
+# The kernel adds in order, as the builtin sum() of floats does before
+# Python 3.12; from 3.12 on, sum() compensates its rounding.
+SUM_IN_ORDER = sys.version_info < (3, 12)
+
+
+def same(x, y):
+    return x == y if SUM_IN_ORDER else x == pytest.approx(y, rel=1e-12, abs=1e-300)
+
+
+def random_observation_set(rng, q):
+    """Observations of 1-5 focal elements each, so most are padded."""
+    frame = Frame(tuple(f"h{i}" for i in range(q)))
+    observations = []
+    for k in range(int(rng.integers(1, 7))):
+        size = int(rng.integers(1, min(5, 2**q - 1) + 1))
+        masks = rng.choice(2**q - 1, size=size, replace=False) + 1
+        point = rng.random(size) + 1e-3
+        point /= point.sum()
+        a = point * rng.random(size)
+        b = point + (1.0 - point) * rng.random(size)
+        entries = tuple(
+            MassEntry(
+                FocalElement.of(frame, [frame.hypotheses[j] for j in range(q)
+                                        if int(mask) >> j & 1]),
+                float(lo), float(hi))
+            for mask, lo, hi in zip(masks, a, b)
+        )
+        observations.append(IntervalBeliefStructure(frame, entries, label=f"o{k}"))
+    return ObservationSet(frame, tuple(observations))
+
+
+def scalar_objective(observations, lo, hi, alpha):
+    """The one-point objective the search used before the kernel."""
+    acc_lo = acc_hi = 1.0
+    theta = IntervalProbabilities(observations.frame, tuple(lo), tuple(hi))
+    for obs in observations.observations:
+        like, _, _ = ibs_likelihood(obs, theta)
+        acc_lo *= like.value.lo
+        acc_hi *= like.value.hi
+    mid = (acc_lo + acc_hi) / 2.0
+    hw = (acc_hi - acc_lo) / 2.0
+    dist = math.sqrt(mid * mid + hw * hw / 3.0)
+    return dist - sum((h - l) ** alpha for l, h in zip(lo, hi)) / len(lo)
+
+
+@pytest.mark.parametrize("q", range(2, 11))
+def test_kernel_matches_scalar_path_and_oracle(q):
+    rng = np.random.default_rng(100 + q)
+    for _ in range(4):
+        observations = random_observation_set(rng, q)
+        x = rng.random((32, 2 * q))
+        x[:4] = np.round(x[:4])  # corners: point and vacuous intervals
+        alpha = float(rng.choice([1.0, 2.0, 3.0, 4.0, 5.0, float(rng.uniform(1, 5))]))
+        lo, hi = _repair(x)
+        k_lo, k_hi = likelihood_bounds(observations.tables, lo, hi)
+        values = _objective_batch(observations.tables, x, alpha)
+        for r in range(len(x)):
+            theta = IntervalProbabilities(
+                observations.frame, tuple(lo[r].tolist()), tuple(hi[r].tolist()))
+            s_lo = s_hi = b_lo = b_hi = 1.0
+            for obs in observations.observations:
+                like, _, _ = ibs_likelihood(obs, theta)
+                brute = ibs_likelihood_bruteforce(obs, theta, grid_depth=1)
+                s_lo *= like.value.lo
+                s_hi *= like.value.hi
+                b_lo *= brute.value.lo
+                b_hi *= brute.value.hi
+            assert same(k_lo[r], s_lo) and same(k_hi[r], s_hi)
+            assert k_lo[r] == pytest.approx(b_lo, abs=1e-9)
+            assert k_hi[r] == pytest.approx(b_hi, abs=1e-9)
+            assert same(values[r], scalar_objective(
+                observations, lo[r].tolist(), hi[r].tolist(), alpha))
+
+
+def test_row_value_does_not_depend_on_batch(table5, monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.random((1024, 2 * table5.frame.size))
+    batch = _objective_batch(table5.tables, x, 2.0)
+    for i in (0, 1, 511, 1000, 1023):
+        assert _objective_batch(table5.tables, x[i : i + 1], 2.0)[0] == batch[i]
+    # in chunks too, as a large batch is evaluated
+    monkeypatch.setattr(likelihood, "_CHUNK_ELEMENTS", 5000)
+    assert np.array_equal(_objective_batch(table5.tables, x, 2.0), batch)
+
+
+def test_joint_likelihood_rejects_infeasible_theta(table1):
+    theta = IntervalProbabilities(table1.frame, (0.7, 0.7), (0.8, 0.8))
+    with pytest.raises(ValueError, match="feasible"):
+        joint_likelihood(table1, theta)
+
+
+def test_mass_box_checked_against_validation_tolerance():
+    frame = Frame(("a", "b"))
+
+    def obs_set(upper_a):
+        entries = (MassEntry(FocalElement.of(frame, ["a"]), 0.2, upper_a),
+                   MassEntry(FocalElement.of(frame, ["b"]), 0.3, 0.5))
+        return ObservationSet(frame, (IntervalBeliefStructure(frame, entries, "x"),))
+
+    theta = IntervalProbabilities.from_point(frame, (0.5, 0.5))
+    # upper masses sum to 1 - 2e-10, inside the tolerance validation allows
+    near = obs_set(0.4999999998)
+    like, _, _ = ibs_likelihood(near.observations[0], theta)
+    assert joint_likelihood(near, theta).value == like.value
+    with pytest.raises(ValueError, match="observation 'x': infeasible mass box"):
+        obs_set(0.49).tables
+
+
+def sequential_search(tables, x0, alpha, config):
+    """One restart, one point at a time: the accept-first pattern search."""
+    def f_of(x):
+        return _objective_batch(tables, np.array([x]), alpha)[0]
+
+    x, f = list(x0), f_of(x0)
+    step, sweeps, converged = estimator._INITIAL_STEP, 0, False
+    while sweeps < config.max_iterations_per_start:
+        sweeps += 1
+        gain = 0.0
+        for offset in _trial_offsets(len(x0) // 2):
+            trial = list(x)
+            for i in np.flatnonzero(offset):
+                trial[i] = min(max(x[i] + offset[i] * step, 0.0), 1.0)
+            if trial == x:
+                continue
+            ft = f_of(trial)
+            if ft > f:
+                gain += ft - f
+                x, f = trial, ft
+        if gain <= config.convergence_tol:
+            step /= 2.0
+            if step < estimator._MIN_STEP:
+                converged = True
+                break
+    return x, f, sweeps, converged
+
+
+def test_lockstep_search_follows_sequential_paths(table3):
+    # a budget small enough that some restarts stop on it
+    config = EstimatorConfig(alpha=2.0, seed=11, restarts=6,
+                             max_iterations_per_start=25)
+    q = table3.frame.size
+    x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
+    x, f, sweeps, converged = estimator._pattern_search(
+        table3.tables, x0, config.alpha, config)
+    assert not converged.all() and converged.any()
+    for r in range(config.restarts):
+        ref = sequential_search(table3.tables, x0[r].tolist(), config.alpha, config)
+        assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
+
+
+def test_restarts_do_not_depend_on_restart_count(table3):
+    few = estimate(table3, EstimatorConfig(alpha=2.0, seed=42, restarts=16))
+    many = estimate(table3, EstimatorConfig(alpha=2.0, seed=42, restarts=64))
+    assert few.restarts == many.restarts[:16]
