@@ -1,6 +1,8 @@
 """Estimation of interval-valued probability distributions from
 crisp or interval-valued belief-structure observations."""
 
+__version__ = "0.2.0"  # the only version literal; pyproject.toml and reports read it
+
 from .belief import (
     Frame,
     FocalElement,
@@ -24,7 +26,7 @@ from .intervalprob import (
     is_feasible,
     sample_feasible_points,
 )
-from .intervals import Interval, interval_distance, product
+from .intervals import Interval, interval_distance
 from .likelihood import (
     InnerProgramSolution,
     LikelihoodInterval,
@@ -34,8 +36,6 @@ from .likelihood import (
     singleton_likelihood,
     subset_likelihood,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Frame",
@@ -48,7 +48,6 @@ __all__ = [
     "validate_ibs",
     "Interval",
     "interval_distance",
-    "product",
     "IntervalProbabilities",
     "is_feasible",
     "ignorance",

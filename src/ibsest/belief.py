@@ -8,8 +8,8 @@ from typing import Iterable
 
 import numpy as np
 
-SUM_TOL = 1e-9  # on sum(a) <= 1 <= sum(b): for validate_ibs and mass_residual
-CRISP_TOL = 1e-12
+SUM_TOL = 1e-9  # on sum(lower) <= 1 <= sum(upper), and on clamping within its reach
+ROUNDING_TOL = 1e-12  # on quantities that are exact up to rounding
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,23 @@ def validate_ibs(structure: IntervalBeliefStructure) -> ValidityReport:
             )
         elif e.lower == 0.0 and e.upper == 0.0:
             warnings.append(f"entry {i} {e.focal}: zero mass interval [0, 0]")
-    sum_a = sum(structure.lowers)
-    sum_b = sum(structure.uppers)
+    violations += box_violations(structure.lowers, structure.uppers)
+    return ValidityReport(ok=not violations, violations=violations, warnings=warnings)
+
+
+def box_violations(lowers, uppers) -> list[str]:
+    """The violated sides of sum(lowers) <= 1 <= sum(uppers), within SUM_TOL.
+
+    The one test of this condition, for mass boxes and probability boxes.
+    """
+    violations = []
+    sum_a = sum(lowers)
     if sum_a > 1.0 + SUM_TOL:
         violations.append(f"sum of lower masses {sum_a} exceeds 1")
+    sum_b = sum(uppers)
     if sum_b < 1.0 - SUM_TOL:
         violations.append(f"sum of upper masses {sum_b} is below 1")
-    return ValidityReport(ok=not violations, violations=violations, warnings=warnings)
+    return violations
 
 
 def mass_residual(lowers, uppers) -> float:
@@ -140,17 +150,17 @@ def mass_residual(lowers, uppers) -> float:
 
     Raises ValueError on a box :func:`validate_ibs` rejects.
     """
-    sum_a = sum(lowers)
-    if sum_a > 1.0 + SUM_TOL or sum(uppers) < 1.0 - SUM_TOL:
-        raise ValueError("infeasible mass box")
-    return max(1.0 - sum_a, 0.0)
+    violations = box_violations(lowers, uppers)
+    if violations:
+        raise ValueError(f"infeasible mass box: {'; '.join(violations)}")
+    return max(1.0 - sum(lowers), 0.0)
 
 
 def is_crisp(structure: IntervalBeliefStructure) -> bool:
     """True iff every mass interval is a point and the masses sum to 1."""
     if any(e.lower != e.upper for e in structure.entries):
         return False
-    return abs(sum(structure.lowers) - 1.0) <= CRISP_TOL
+    return abs(sum(structure.lowers) - 1.0) <= ROUNDING_TOL
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated alpha values (default 1,2,3,4,5)")
     p_est.add_argument("--seed", type=int, default=42)
     p_est.add_argument("--restarts", type=int, default=64)
-    p_est.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; ignored")
     p_est.add_argument("--out", type=Path, default=None,
                        help="write the structured report to this file")
 
@@ -57,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--fixtures", type=Path, default=None)
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--restarts", type=int, default=64)
-    p_ver.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; ignored")
     return parser
 
 
@@ -79,13 +75,6 @@ def cmd_validate(args) -> int:
 
 def cmd_estimate(args) -> int:
     observations = parse_observation_file(args.file)
-    for obs in observations.observations:
-        report = validate_ibs(obs)
-        if not report.ok:
-            print(f"observation {obs.label} is invalid:", file=sys.stderr)
-            for v in report.violations:
-                print(f"  {v}", file=sys.stderr)
-            return EXIT_FAILURE
     cfg = EstimatorConfig(seed=args.seed, restarts=args.restarts)
     results = alpha_sweep(observations, args.alpha, cfg)
     print(render_table(results))

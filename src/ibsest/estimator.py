@@ -22,6 +22,7 @@ from .likelihood import joint_likelihood, likelihood_bounds, sum_in_order
 
 _ZERO = Interval(0.0, 0.0)
 _MIN_STEP = 1e-6
+_MIN_GAIN = 1e-8  # a sweep gaining no more than this halves the step
 _INITIAL_STEP = 0.25
 
 
@@ -30,7 +31,6 @@ class EstimatorConfig:
     alpha: float = 1.0
     restarts: int = 64
     max_iterations_per_start: int = 2000
-    convergence_tol: float = 1e-8
     seed: int = 42
     workers: int = 1  # accepted and ignored: all restarts run in one process
 
@@ -62,7 +62,8 @@ class EstimationResult:
 
     @property
     def converged(self) -> bool:
-        return any(r.converged for r in self.restarts)
+        """Whether the winning restart converged (best objective, first on ties)."""
+        return max(self.restarts, key=lambda r: r.objective).converged
 
 
 def objective(
@@ -127,8 +128,8 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     """Opportunistic (accept-first) pattern search from each row of ``x0``.
 
     Per restart, a sweep polls the trials in order and moves to each one
-    that improves the objective; a sweep gaining no more than the
-    tolerance halves the step, until it falls below the minimum
+    that improves the objective; a sweep gaining no more than
+    ``_MIN_GAIN`` halves the step, until it falls below the minimum
     (converged) or the sweep budget is spent. The restarts run in rounds:
     each submits every trial left in its sweep, built from its current
     point, to one batched evaluation, then takes its first improving
@@ -164,7 +165,7 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         pos[run[~hit]] = n_trials
 
         ended = run[pos[run] == n_trials]
-        flat = ended[gain[ended] <= config.convergence_tol]
+        flat = ended[gain[ended] <= _MIN_GAIN]
         step[flat] /= 2.0
         converged[flat[step[flat] < _MIN_STEP]] = True
         running[ended[converged[ended]]] = False

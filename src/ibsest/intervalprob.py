@@ -6,10 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import Frame
+from .belief import Frame, box_violations
 from .intervals import Interval
-
-FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,12 +43,12 @@ class IntervalProbabilities:
         return all(lo == hi for lo, hi in zip(self.lowers, self.uppers))
 
 
-def is_feasible(p: IntervalProbabilities, tol: float = FEAS_TOL) -> bool:
+def is_feasible(p: IntervalProbabilities) -> bool:
     """True iff some point distribution fits inside all bounds.
 
     For box bounds this is exactly sum(lower) <= 1 <= sum(upper).
     """
-    return sum(p.lowers) <= 1.0 + tol and sum(p.uppers) >= 1.0 - tol
+    return not box_violations(p.lowers, p.uppers)
 
 
 def ignorance(p: IntervalProbabilities, alpha: float) -> float:

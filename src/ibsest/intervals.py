@@ -46,13 +46,3 @@ def interval_distance(a: Interval, b: Interval) -> float:
     dm = a.midpoint - b.midpoint
     return math.sqrt(dm * dm + (a.halfwidth**2 + b.halfwidth**2) / 3.0)
 
-
-def product(a: Interval, b: Interval) -> Interval:
-    """Componentwise product [a.lo*b.lo, a.hi*b.hi] of non-negative intervals.
-
-    Exact for non-negative factors; general interval multiplication is
-    deliberately not provided.
-    """
-    if a.lo < 0 or b.lo < 0:
-        raise ValueError("product requires non-negative lower bounds")
-    return Interval(a.lo * b.lo, a.hi * b.hi)

@@ -17,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
+from . import __version__
 from .belief import (
     FocalElement,
     Frame,
@@ -28,8 +30,6 @@ from .belief import (
 from .estimator import EstimationResult
 from .intervalprob import IntervalProbabilities, ignorance
 
-TOOL_VERSION = "0.1.0"
-
 _ENTRY_RE = re.compile(r"^\{([^}]*)\}\s+(.+)$")
 
 
@@ -39,12 +39,15 @@ class ObservationParseError(ValueError):
         self.line_no = line_no
 
 
-def _parse_mass(text: str, line_no: int) -> tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
+def _parse_number(text: str, what: str, line_no: int) -> float:
     try:
-        values = [float(p) for p in parts]
+        return float(text)
     except ValueError:
-        raise ObservationParseError(line_no, f"bad mass {text!r}") from None
+        raise ObservationParseError(line_no, f"bad {what} {text!r}") from None
+
+
+def _parse_mass(text: str, line_no: int) -> tuple[float, float]:
+    values = [_parse_number(p.strip(), "mass", line_no) for p in text.split(",")]
     if len(values) == 1:
         return values[0], values[0]
     if len(values) == 2:
@@ -52,8 +55,37 @@ def _parse_mass(text: str, line_no: int) -> tuple[float, float]:
     raise ObservationParseError(line_no, f"mass needs 1 or 2 numbers, got {text!r}")
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line left by stripping comments and blanks."""
+    frame_seen = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("frame:"):
+            if frame_seen:
+                raise ObservationParseError(line_no, "frame declared twice")
+            frame_seen = True
+        yield line_no, line
+
+
+def _read_frame(text: str) -> tuple[Frame, Iterator[tuple[int, str]]]:
+    """The frame, which the first content line declares, and the lines after it."""
+    lines = _content_lines(text)
+    line_no, line = next(lines, (1, None))
+    if line is None:
+        raise ObservationParseError(line_no, "no frame declaration")
+    if not line.startswith("frame:"):
+        raise ObservationParseError(line_no, "frame must be declared first")
+    names = [n.strip() for n in line[len("frame:"):].split(",")]
+    try:
+        return Frame(tuple(n for n in names if n)), lines
+    except ValueError as exc:
+        raise ObservationParseError(line_no, str(exc)) from None
+
+
 def parse_observation_text(text: str) -> ObservationSet:
-    frame: Frame | None = None
+    frame, lines = _read_frame(text)
     observations: list[IntervalBeliefStructure] = []
     label: str | None = None
     entries: list[MassEntry] = []
@@ -72,21 +104,7 @@ def parse_observation_text(text: str) -> ObservationSet:
             raise ObservationParseError(line_no, f"observation {label!r}: {exc}")
         label, entries = None, []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("frame:"):
-            if frame is not None:
-                raise ObservationParseError(line_no, "frame declared twice")
-            names = [n.strip() for n in line[len("frame:"):].split(",")]
-            try:
-                frame = Frame(tuple(n for n in names if n))
-            except ValueError as exc:
-                raise ObservationParseError(line_no, str(exc))
-            continue
-        if frame is None:
-            raise ObservationParseError(line_no, "frame must be declared first")
+    for line_no, line in lines:
         if line.startswith("obs:"):
             flush(line_no)
             label = line[len("obs:"):].strip()
@@ -95,7 +113,7 @@ def parse_observation_text(text: str) -> ObservationSet:
             continue
         match = _ENTRY_RE.match(line)
         if match is None:
-            raise ObservationParseError(line_no, f"unrecognized line {raw.strip()!r}")
+            raise ObservationParseError(line_no, f"unrecognized line {line!r}")
         if label is None:
             raise ObservationParseError(line_no, "mass entry outside an observation")
         names = [n.strip() for n in match.group(1).split(",") if n.strip()]
@@ -108,8 +126,6 @@ def parse_observation_text(text: str) -> ObservationSet:
         except (KeyError, ValueError) as exc:
             raise ObservationParseError(line_no, str(exc))
     flush(line_no=len(text.splitlines()) + 1)
-    if frame is None:
-        raise ObservationParseError(1, "no frame declaration")
     if not observations:
         raise ObservationParseError(1, "no observations")
     return ObservationSet(frame, tuple(observations))
@@ -159,7 +175,7 @@ class ExpectedRow:
 
 
 def parse_expected_text(text: str) -> list[ExpectedRow]:
-    frame: Frame | None = None
+    frame, lines = _read_frame(text)
     rows: list[ExpectedRow] = []
     alpha: float | None = None
     bounds: dict[str, tuple[float, float]] = {}
@@ -172,36 +188,30 @@ def parse_expected_text(text: str) -> list[ExpectedRow]:
         missing = [h for h in frame.hypotheses if h not in bounds]
         if missing:
             raise ObservationParseError(line_no, f"row alpha={alpha} missing {missing}")
-        theta = IntervalProbabilities(
-            frame,
-            tuple(bounds[h][0] for h in frame.hypotheses),
-            tuple(bounds[h][1] for h in frame.hypotheses),
-        )
+        try:
+            theta = IntervalProbabilities(
+                frame,
+                tuple(bounds[h][0] for h in frame.hypotheses),
+                tuple(bounds[h][1] for h in frame.hypotheses),
+            )
+        except ValueError as exc:
+            raise ObservationParseError(line_no, f"row alpha={alpha}: {exc}") from None
         rows.append(ExpectedRow(alpha, theta, i1))
         alpha, bounds, i1 = None, {}, None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("frame:"):
-            names = [n.strip() for n in line[len("frame:"):].split(",")]
-            frame = Frame(tuple(n for n in names if n))
-            continue
-        if frame is None:
-            raise ObservationParseError(line_no, "frame must be declared first")
+    for line_no, line in lines:
         if line.startswith("row:"):
             flush(line_no)
             spec = line[len("row:"):].strip()
             if not spec.startswith("alpha="):
                 raise ObservationParseError(line_no, f"bad row header {spec!r}")
-            alpha = float(spec[len("alpha="):])
+            alpha = _parse_number(spec[len("alpha="):], "alpha", line_no)
             continue
         name, _, rest = line.partition(" ")
         if alpha is None:
             raise ObservationParseError(line_no, "value outside a row")
         if name == "I1":
-            i1 = float(rest)
+            i1 = _parse_number(rest, "I1 value", line_no)
         else:
             if name not in frame.hypotheses:
                 raise ObservationParseError(line_no, f"unknown hypothesis {name!r}")
@@ -224,7 +234,7 @@ def render_report(
 ) -> str:
     """Structured key/value + row-record report; byte-stable given inputs."""
     lines = [
-        f"tool_version: {TOOL_VERSION}",
+        f"tool_version: {__version__}",
         f"seed: {seed}",
         f"input_digest: {input_digest}",
         f"rows: {len(results)}",

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import (
+    ROUNDING_TOL,
+    SUM_TOL,
     FocalElement,
     IntervalBeliefStructure,
     MassTables,
@@ -27,8 +29,6 @@ from .belief import (
 from .intervalprob import IntervalProbabilities, is_feasible
 from .intervals import Interval
 
-CLAMP_TOL = 1e-9
-MASS_SUM_TOL = 1e-12
 _CHUNK_ELEMENTS = 1 << 21  # per kernel call: 16 MB of float64 in the largest array
 
 
@@ -64,7 +64,7 @@ def singleton_likelihood(
 def _subset_bounds(in_lo, in_hi, out_lo, out_hi):
     lo = max(in_lo, 1.0 - out_hi)
     hi = min(in_hi, 1.0 - out_lo)
-    if lo < -CLAMP_TOL or hi > 1.0 + CLAMP_TOL or lo > hi + CLAMP_TOL:
+    if lo < -SUM_TOL or hi > 1.0 + SUM_TOL or lo > hi + SUM_TOL:
         raise AssertionError(
             f"subset likelihood [{lo}, {hi}] out of range; theta infeasible?"
         )
@@ -160,7 +160,7 @@ def _bounds_interval(v_lo: float, v_hi: float) -> Interval:
     lo = min(max(v_lo, 0.0), 1.0)
     hi = min(max(v_hi, 0.0), 1.0)
     if lo > hi:
-        if lo - hi > CLAMP_TOL:
+        if lo - hi > SUM_TOL:
             raise AssertionError(f"inner program bounds crossed: {lo} > {hi}")
         lo = hi = (lo + hi) / 2.0
     return Interval(lo, hi)
@@ -177,7 +177,7 @@ def _mass_vertices(a, b):
             for i, bit in zip(others, bits):
                 m[i] = b[i] if bit else a[i]
             rest = 1.0 - m[others].sum() if others else 1.0
-            if a[free] - MASS_SUM_TOL <= rest <= b[free] + MASS_SUM_TOL:
+            if a[free] - ROUNDING_TOL <= rest <= b[free] + ROUNDING_TOL:
                 m[free] = min(max(rest, a[free]), b[free])
                 key = tuple(np.round(m, 12))
                 if key not in seen:
@@ -199,7 +199,7 @@ def _grid_points(a, b, depth):
         if total <= 0:
             continue
         m = m + deficit * slack / total
-        if np.all(m >= a - MASS_SUM_TOL) and np.all(m <= b + MASS_SUM_TOL):
+        if np.all(m >= a - ROUNDING_TOL) and np.all(m <= b + ROUNDING_TOL):
             yield m
 
 

@@ -19,13 +19,14 @@ from ibsest import (
     ignorance,
     interval_distance,
     is_feasible,
-    objective,
     sample_feasible_points,
     subset_likelihood,
 )
-from ibsest.io import parse_expected_file
 from ibsest.verify import (
+    check_concentration,
+    check_crisp_reproduction,
     check_ignorance_column,
+    check_objective_dominance,
     check_oracle_equivalence,
 )
 
@@ -35,22 +36,18 @@ def report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def test_criterion_1_crisp_reproduction(table1):
+def timed(check, *args, **kwargs):
     start = time.monotonic()
-    res = estimate(table1, EstimatorConfig(alpha=1.0, seed=42, restarts=64))
-    elapsed = time.monotonic() - start
-    lo, hi = res.theta.lowers, res.theta.uppers
-    ok = (
-        0.595 <= lo[0] and hi[0] <= 0.605
-        and 0.395 <= lo[1] and hi[1] <= 0.405
-        and max(res.theta.widths) <= 1e-3
-        and elapsed <= 10.0
-    )
+    result = check(*args, **kwargs)
+    return result, time.monotonic() - start
+
+
+def test_criterion_1_crisp_reproduction(fixtures):
+    check, elapsed = timed(check_crisp_reproduction, fixtures)
     report(
         "criterion 1: crisp-case reproduction",
-        ok,
-        f"p(a)=[{lo[0]:.4f},{hi[0]:.4f}] p(b)=[{lo[1]:.4f},{hi[1]:.4f}] "
-        f"({elapsed:.1f}s)",
+        check.passed and elapsed <= 10.0,
+        f"{check.detail} ({elapsed:.1f}s)",
     )
 
 
@@ -60,53 +57,34 @@ def test_criterion_2_ignorance_column(fixtures):
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
-def test_criterion_3_objective_dominance(table3, fixtures, alpha):
-    rows = {r.alpha: r for r in parse_expected_file(fixtures / "table4.expected")}
-    start = time.monotonic()
-    res = estimate(table3, EstimatorConfig(alpha=alpha, seed=42, restarts=64))
-    elapsed = time.monotonic() - start
-    ref = objective(rows[alpha].theta, table3, alpha)
-    ok = res.objective >= ref - 1e-3 and elapsed <= 60.0
+def test_criterion_3_objective_dominance(fixtures, alpha):
+    [check], elapsed = timed(
+        check_objective_dominance, fixtures, "table3.obs", "table4.expected", [alpha]
+    )
     report(
         f"criterion 3: objective dominance, alpha={alpha:g}",
-        ok,
-        f"achieved {res.objective:.6f} vs reference {ref:.6f} ({elapsed:.1f}s)",
+        check.passed and elapsed <= 60.0,
+        f"{check.detail} ({elapsed:.1f}s)",
     )
 
 
-def test_criterion_4_concentration(table5):
-    res = estimate(table5, EstimatorConfig(alpha=1.0, seed=42, restarts=64))
-    i = table5.frame.index("VeryGood")
-    ok = (
-        res.theta.lowers[i] >= 0.99
-        and all(res.theta.uppers[j] <= 0.01
-                for j in range(table5.frame.size) if j != i)
-        and max(res.theta.widths) <= 1e-3
-    )
-    report(
-        "criterion 4: trustworthiness case, alpha=1 concentration",
-        ok,
-        f"P(VeryGood)=[{res.theta.lowers[i]:.4f},{res.theta.uppers[i]:.4f}]",
-    )
+def test_criterion_4_concentration(fixtures):
+    check = check_concentration(fixtures)
+    report("criterion 4: trustworthiness case, alpha=1 concentration",
+           check.passed, check.detail)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 5.0])
-def test_criterion_4_dominance(table5, fixtures, alpha):
-    rows = {r.alpha: r for r in parse_expected_file(fixtures / "table6.expected")}
-    res = estimate(table5, EstimatorConfig(alpha=alpha, seed=42, restarts=64))
-    ref = objective(rows[alpha].theta, table5, alpha)
-    ok = res.objective >= ref - 1e-3
-    report(
-        f"criterion 4: trustworthiness dominance, alpha={alpha:g}",
-        ok,
-        f"achieved {res.objective:.6f} vs reference {ref:.6f}",
+def test_criterion_4_dominance(fixtures, alpha):
+    [check] = check_objective_dominance(
+        fixtures, "table5.obs", "table6.expected", [alpha]
     )
+    report(f"criterion 4: trustworthiness dominance, alpha={alpha:g}",
+           check.passed, check.detail)
 
 
 def test_criterion_5_oracle_equivalence():
-    start = time.monotonic()
-    check = check_oracle_equivalence(count=1000, seed=1234)
-    elapsed = time.monotonic() - start
+    check, elapsed = timed(check_oracle_equivalence, count=1000, seed=1234)
     ok = check.passed and elapsed <= 30.0
     report(
         "criterion 5: inner-program oracle equivalence",

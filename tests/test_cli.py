@@ -3,6 +3,7 @@ import pytest
 from ibsest.cli import main
 from ibsest.io import (
     ObservationParseError,
+    parse_expected_text,
     parse_observation_text,
     serialize_observation_set,
 )
@@ -69,6 +70,16 @@ class TestParser:
         text = "# header\nframe: a  # trailing\n\nobs: 1\n  {a} 1.0\n"
         assert parse_observation_text(text).size == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ("frame: a\n\nrow: alpha=x\n  a 1.0\n", 3),
+        ("frame: a\nrow: alpha=1\n  a 1.0\n  I1 zz\n", 4),
+        ("# reference\nframe: a, a\n", 2),
+        ("frame: a\nrow: alpha=1\n  a 0.9, 0.1\n", 4),
+    ], ids=["bad-alpha", "bad-i1", "duplicate-hypothesis", "inverted-bounds"])
+    def test_expected_file_errors_are_located(self, text, line):
+        with pytest.raises(ObservationParseError, match=f"line {line}:"):
+            parse_expected_text(text)
+
 
 class TestValidateCommand:
     def test_valid_file_exits_zero(self, tmp_path, capsys):
@@ -96,7 +107,7 @@ class TestEstimateCommand:
     def test_crisp_fixture_alpha_one(self, fixtures, capsys):
         code = main([
             "estimate", str(fixtures / "table1.obs"),
-            "--alpha", "1", "--restarts", "16", "--workers", "1",
+            "--alpha", "1", "--restarts", "16",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -106,7 +117,7 @@ class TestEstimateCommand:
     def test_report_is_byte_identical_across_runs(self, fixtures, tmp_path, capsys):
         args = [
             "estimate", str(fixtures / "table1.obs"),
-            "--alpha", "1,2", "--restarts", "8", "--workers", "1", "--seed", "5",
+            "--alpha", "1,2", "--restarts", "8", "--seed", "5",
         ]
         out1 = tmp_path / "r1.txt"
         out2 = tmp_path / "r2.txt"
@@ -123,12 +134,14 @@ class TestEstimateCommand:
         f = tmp_path / "bad.obs"
         f.write_text(INVALID_TEXT)
         assert main(["estimate", str(f), "--restarts", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "observation '1'" in err and "below 1" in err
 
     def test_table_matches_report_rounding(self, fixtures, tmp_path, capsys):
         out = tmp_path / "r.txt"
         main([
             "estimate", str(fixtures / "table1.obs"),
-            "--alpha", "1", "--restarts", "8", "--workers", "1",
+            "--alpha", "1", "--restarts", "8",
             "--out", str(out),
         ])
         table = capsys.readouterr().out
@@ -152,16 +165,6 @@ class TestEstimateCommand:
         assert main(["estimate", str(f), "--alpha", "1", "--restarts", "2"]) == 0
         assert "error" not in capsys.readouterr().err
 
-    def test_workers_flag_changes_nothing(self, fixtures, tmp_path, capsys):
-        reports = []
-        for workers in ("1", "3"):
-            out = tmp_path / f"r{workers}.txt"
-            assert main(["estimate", str(fixtures / "table1.obs"), "--alpha", "2",
-                         "--restarts", "4", "--workers", workers,
-                         "--out", str(out)]) == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
-
 
 class TestVerifyCommand:
     def test_corrupted_fixture_fails_by_name(self, fixtures, tmp_path, capsys):
@@ -175,7 +178,7 @@ class TestVerifyCommand:
         )
         code = main([
             "verify", "--fixtures", str(work),
-            "--restarts", "4", "--workers", "1",
+            "--restarts", "4",
         ])
         out = capsys.readouterr().out
         assert code == 1

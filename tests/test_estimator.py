@@ -51,6 +51,15 @@ class TestEstimate:
         b = estimate(table3, cfg)
         assert a == b  # dataclass equality covers theta and all diagnostics
 
+    def test_converged_reports_the_winning_restart(self, table3):
+        # a budget small enough that some restarts stop on it
+        res = estimate(table3, EstimatorConfig(alpha=2.0, seed=11, restarts=6,
+                                               max_iterations_per_start=25))
+        objectives = [r.objective for r in res.restarts]
+        winner = res.restarts[objectives.index(max(objectives))]
+        assert any(r.converged for r in res.restarts) and not winner.converged
+        assert res.converged is False
+
     def test_more_restarts_never_worse(self, table3):
         few = estimate(table3, EstimatorConfig(alpha=2.0, seed=5, restarts=4))
         many = estimate(table3, EstimatorConfig(alpha=2.0, seed=5, restarts=10))

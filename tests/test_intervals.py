@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ibsest import Interval, interval_distance, product
+from ibsest import Interval, interval_distance
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -62,35 +62,3 @@ class TestDistance:
         assert interval_distance(a, a) == pytest.approx(expected, abs=1e-15)
         if a.halfwidth > 1e-150:  # below this, squaring underflows to zero
             assert interval_distance(a, a) > 0
-
-
-class TestProduct:
-    def test_point_product(self):
-        assert product(Interval(0.5, 0.5), Interval(0.5, 0.5)) == Interval(0.25, 0.25)
-
-    def test_zero_lower_absorbs(self):
-        assert product(Interval(0, 1), Interval(0.3, 0.4)) == Interval(0.0, 0.4)
-
-    def test_general(self):
-        got = product(Interval(0.2, 0.3), Interval(0.4, 0.5))
-        assert got.lo == pytest.approx(0.08)
-        assert got.hi == pytest.approx(0.15)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            product(Interval(-0.1, 0.5), Interval(0.2, 0.3))
-
-    @given(a1=unit, a2=unit, b1=unit, b2=unit, c1=unit, c2=unit)
-    def test_associative(self, a1, a2, b1, b2, c1, c2):
-        a, b, c = make_interval(a1, a2), make_interval(b1, b2), make_interval(c1, c2)
-        left = product(product(a, b), c)
-        right = product(a, product(b, c))
-        assert left.lo == pytest.approx(right.lo, abs=1e-12)
-        assert left.hi == pytest.approx(right.hi, abs=1e-12)
-
-    @given(a1=unit, a2=unit, b1=unit, b2=unit)
-    def test_monotone_in_bounds(self, a1, a2, b1, b2):
-        a, b = make_interval(a1, a2), make_interval(b1, b2)
-        wider = Interval(a.lo, min(1.0, a.hi + 0.1))
-        p1, p2 = product(a, b), product(wider, b)
-        assert p2.hi >= p1.hi - 1e-15

@@ -152,7 +152,7 @@ def sequential_search(tables, x0, alpha, config):
             if ft > f:
                 gain += ft - f
                 x, f = trial, ft
-        if gain <= config.convergence_tol:
+        if gain <= estimator._MIN_GAIN:
             step /= 2.0
             if step < estimator._MIN_STEP:
                 converged = True
