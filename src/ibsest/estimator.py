@@ -59,6 +59,8 @@ class EstimationResult:
     alpha: float
     seed: int
     restarts: tuple[RestartDiagnostics, ...] = field(repr=False)
+    rounds: int  # batched objective evaluations of the search, the first included
+    evaluations: int  # rows those evaluated
 
     @property
     def converged(self) -> bool:
@@ -135,36 +137,85 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     point, to one batched evaluation, then takes its first improving
     trial, the one a lone restart would take, and resubmits the trials
     after it from the new point in the next round.
+
+    A restart whose last two sweeps accepted the same trials predicts
+    that this sweep accepts them too (see :func:`_chain_windows`) and
+    submits the whole predicted sweep in one round; the prediction only
+    saves rounds, so every restart's path is the one it polls alone.
+    Returns the final points, values, sweeps and converged flags, the
+    number of batched evaluations and the number of rows evaluated.
     """
     offsets = _trial_offsets(x0.shape[1] // 2)
     n_trials = len(offsets)
+    index = np.arange(n_trials)
     x = x0.copy()
     f = _objective_batch(tables, x, alpha)
+    rounds, evaluations = 1, len(x)
     step = np.full(len(x), _INITIAL_STEP)
     sweeps = np.ones(len(x), dtype=int)
     gain = np.zeros(len(x))
     pos = np.zeros(len(x), dtype=int)  # next trial of the current sweep
     converged = np.zeros(len(x), dtype=bool)
     running = np.ones(len(x), dtype=bool)
+    accepted = np.zeros((len(x), n_trials), dtype=bool)  # in the current sweep
+    last = np.zeros_like(accepted)  # in the last completed sweep
+    cycling = np.zeros(len(x), dtype=bool)  # the last two sweeps accepted alike
     while running.any():
         run = np.flatnonzero(running)
-        here = x[run, None, :]
-        trials = np.clip(here + step[run, None, None] * offsets, 0.0, 1.0)
-        # a trial clipped back onto the current point is skipped, not polled
-        todo = (np.arange(n_trials) >= pos[run, None]) & (trials != here).any(axis=2)
+        chain = run[cycling[run]]
+        if chain.size:
+            # a prediction holds while this sweep's accepts are its prefix
+            done = index < pos[chain, None]
+            chain = chain[(accepted[chain] == (last[chain] & done)).all(axis=1)
+                          & (last[chain] & ~done).any(axis=1)]
+        plain = run[~np.isin(run, chain)] if chain.size else run
+        windows = [_chain_windows(x[r], step[r], pos[r], last[r], offsets)
+                   for r in chain]
+        # one window of trials per plain restart, one per level of a chain
+        owner = np.concatenate([plain, *(np.full(len(w[0]), r)
+                                         for r, w in zip(chain, windows))])
+        base = np.concatenate([x[plain], *(w[0] for w in windows)])
+        start = np.concatenate([pos[plain], *(w[1] for w in windows)])
+        stop = np.concatenate([np.full(len(plain), n_trials), *(w[2] for w in windows)])
+        trials = np.clip(base[:, None, :] + step[owner, None, None] * offsets, 0.0, 1.0)
+        # a trial clipped back onto its base point is skipped, not polled
+        todo = ((index >= start[:, None]) & (index < stop[:, None])
+                & (trials != base[:, None, :]).any(axis=2))
         values = np.full(todo.shape, -np.inf)
         values[todo] = _objective_batch(tables, trials[todo], alpha)
-        better = values > f[run, None]
+        rounds += 1
+        evaluations += int(todo.sum())
+        better = values[: len(plain)] > f[plain, None]
         hit = better.any(axis=1)
-        first = better.argmax(axis=1)[hit]
-        moved = run[hit]
-        gain[moved] += values[hit, first] - f[moved]
-        f[moved] = values[hit, first]
-        x[moved] = trials[hit, first]
-        pos[moved] = first + 1
-        pos[run[~hit]] = n_trials
+        rows = np.flatnonzero(hit)
+        moved, took = plain[rows], better[rows].argmax(axis=1)
+        gain[moved] += values[rows, took] - f[moved]
+        f[moved] = values[rows, took]
+        x[moved] = trials[rows, took]
+        pos[moved] = took + 1
+        accepted[moved, took] = True
+        pos[plain[~hit]] = n_trials
+        # a chain's windows in order, up to the first that breaks the prediction
+        i = len(plain)
+        for r, (bases, _, _) in zip(chain, windows):
+            for j in range(i, i + len(bases)):
+                improving = np.flatnonzero(values[j] > f[r])
+                if not improving.size:
+                    pos[r] = stop[j]
+                    break
+                t = improving[0]
+                gain[r] += values[j, t] - f[r]
+                f[r], x[r], pos[r] = values[j, t], trials[j, t], t + 1
+                accepted[r, t] = True
+                if t + 1 < stop[j]:  # an accept before the predicted one
+                    break
+            i += len(bases)
 
         ended = run[pos[run] == n_trials]
+        cycling[ended] = ((accepted[ended] == last[ended]).all(axis=1)
+                          & accepted[ended].any(axis=1))
+        last[ended] = accepted[ended]
+        accepted[ended] = False
         flat = ended[gain[ended] <= _MIN_GAIN]
         step[flat] /= 2.0
         converged[flat[step[flat] < _MIN_STEP]] = True
@@ -174,7 +225,24 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         sweeps[again] += 1
         gain[again] = 0.0
         pos[again] = 0
-    return x, f, sweeps, converged
+    return x, f, sweeps, converged, rounds, evaluations
+
+
+def _chain_windows(x, step, pos, predicted, offsets):
+    """One restart's sweep from trial ``pos``, split at its predicted accepts.
+
+    Window 0 polls from ``x`` up to and including the first predicted
+    accept at or after ``pos``; window k polls from the point that
+    accept k reaches, up to the next one, the last window to the end of
+    the sweep. Returns the base points and the [start, stop) of each
+    window.
+    """
+    chain = np.flatnonzero(predicted[pos:]) + pos
+    bases = [x]
+    for t in chain:
+        bases.append(np.clip(bases[-1] + step * offsets[t], 0.0, 1.0))
+    return (np.array(bases), np.concatenate([[pos], chain + 1]),
+            np.concatenate([chain + 1, [len(offsets)]]))
 
 
 def _initial_point(restart: int, q: int, seed: int) -> list:
@@ -205,7 +273,7 @@ def estimate(
             )
     q = observations.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
-    x, f, sweeps, converged = _pattern_search(
+    x, f, sweeps, converged, rounds, evaluations = _pattern_search(
         observations.tables, x0, config.alpha, config
     )
 
@@ -233,6 +301,8 @@ def estimate(
         alpha=config.alpha,
         seed=config.seed,
         restarts=diagnostics,
+        rounds=rounds,
+        evaluations=evaluations,
     )
 
 

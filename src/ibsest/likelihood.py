@@ -167,7 +167,12 @@ def _bounds_interval(v_lo: float, v_hi: float) -> Interval:
 
 
 def _mass_vertices(a, b):
-    """Vertices of {a <= m <= b, sum(m) = 1}: at most one free coordinate."""
+    """Vertices of {a <= m <= b, sum(m) = 1}: at most one free coordinate.
+
+    The free coordinate is admitted within ``SUM_TOL`` of its bounds and
+    clamped, as :func:`belief.mass_residual` treats a box ``validate_ibs``
+    accepts.
+    """
     n = len(a)
     seen = set()
     for free in range(n):
@@ -177,7 +182,7 @@ def _mass_vertices(a, b):
             for i, bit in zip(others, bits):
                 m[i] = b[i] if bit else a[i]
             rest = 1.0 - m[others].sum() if others else 1.0
-            if a[free] - ROUNDING_TOL <= rest <= b[free] + ROUNDING_TOL:
+            if a[free] - SUM_TOL <= rest <= b[free] + SUM_TOL:
                 m[free] = min(max(rest, a[free]), b[free])
                 key = tuple(np.round(m, 12))
                 if key not in seen:

@@ -144,9 +144,13 @@ def check_oracle_equivalence(count=1000, seed=1234) -> CheckResult:
     """Greedy inner program vs vertex-enumeration brute force."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for i in range(count):
         obs, theta = random_instance(rng)
-        assert validate_ibs(obs).ok
+        report = validate_ibs(obs)
+        if not report.ok:
+            return CheckResult("inner-program-oracle", False,
+                               f"generated instance {i} is invalid: "
+                               f"{'; '.join(report.violations)}")
         like, _, _ = ibs_likelihood(obs, theta)
         brute = ibs_likelihood_bruteforce(obs, theta, grid_depth=2)
         worst = max(

@@ -9,6 +9,7 @@ from ibsest import (
     is_feasible,
     objective,
 )
+from ibsest import estimator
 
 FAST = dict(restarts=8, max_iterations_per_start=400)
 
@@ -50,6 +51,21 @@ class TestEstimate:
         a = estimate(table3, cfg)
         b = estimate(table3, cfg)
         assert a == b  # dataclass equality covers theta and all diagnostics
+
+    def test_search_counters_are_deterministic(self, table3, monkeypatch):
+        cfg = EstimatorConfig(alpha=2.0, seed=123, **FAST)
+        calls = []
+        batch = estimator._objective_batch
+
+        def counted(tables, x, alpha):
+            calls.append(len(x))
+            return batch(tables, x, alpha)
+
+        monkeypatch.setattr(estimator, "_objective_batch", counted)
+        a = estimate(table3, cfg)
+        assert (a.rounds, a.evaluations) == (len(calls), sum(calls))
+        b = estimate(table3, cfg)
+        assert (a.rounds, a.evaluations) == (b.rounds, b.evaluations)
 
     def test_converged_reports_the_winning_restart(self, table3):
         # a budget small enough that some restarts stop on it

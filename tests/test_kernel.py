@@ -166,12 +166,31 @@ def test_lockstep_search_follows_sequential_paths(table3):
                              max_iterations_per_start=25)
     q = table3.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
-    x, f, sweeps, converged = estimator._pattern_search(
+    x, f, sweeps, converged, _, _ = estimator._pattern_search(
         table3.tables, x0, config.alpha, config)
     assert not converged.all() and converged.any()
     for r in range(config.restarts):
         ref = sequential_search(table3.tables, x0[r].tolist(), config.alpha, config)
         assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
+
+
+def test_cycling_restart_follows_sequential_path_in_fewer_rounds(table5):
+    # Restart 2 uses its whole budget, accepting trials 15 and 48 in most
+    # sweeps; the cycle breaks at trial 3 (before the first predicted
+    # accept) and at trial 23 (between the two), so predictions fail
+    # mid-sweep.
+    config = EstimatorConfig(alpha=2.0, seed=21, restarts=3,
+                             max_iterations_per_start=250)
+    q = table5.frame.size
+    x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
+    x, f, sweeps, converged, rounds, _ = estimator._pattern_search(
+        table5.tables, x0, config.alpha, config)
+    assert sweeps[2] == config.max_iterations_per_start and not converged[2]
+    for r in range(config.restarts):
+        ref = sequential_search(table5.tables, x0[r].tolist(), config.alpha, config)
+        assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
+    # one round per accept takes three rounds for most of these sweeps
+    assert rounds < 2 * config.max_iterations_per_start
 
 
 def test_restarts_do_not_depend_on_restart_count(table3):

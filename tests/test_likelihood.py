@@ -165,6 +165,40 @@ class TestBruteForceOracle:
             assert like.value.lo == pytest.approx(brute.value.lo, abs=1e-9)
             assert like.value.hi == pytest.approx(brute.value.hi, abs=1e-9)
 
+    def test_box_within_validation_tolerance(self):
+        # upper masses sum to 1 - 5e-10, inside the slack validate_ibs allows
+        obs = IntervalBeliefStructure(
+            AB,
+            (
+                MassEntry(FocalElement.of(AB, ["a"]), 0.2, 0.4999999995),
+                MassEntry(FocalElement.of(AB, ["b"]), 0.3, 0.5),
+            ),
+        )
+        assert validate_ibs(obs).ok
+        theta = IntervalProbabilities.from_point(AB, (0.5, 0.5))
+        like, _, _ = ibs_likelihood(obs, theta)
+        brute = ibs_likelihood_bruteforce(obs, theta)
+        assert like.value.lo == pytest.approx(brute.value.lo, abs=1e-9)
+        assert like.value.hi == pytest.approx(brute.value.hi, abs=1e-9)
+
+    def test_oracle_check_fails_on_an_invalid_instance(self, monkeypatch):
+        from ibsest import verify
+
+        # upper masses sum to 0.9: validate_ibs rejects the box
+        obs = IntervalBeliefStructure(
+            AB,
+            (
+                MassEntry(FocalElement.of(AB, ["a"]), 0.2, 0.4),
+                MassEntry(FocalElement.of(AB, ["b"]), 0.3, 0.5),
+            ),
+        )
+        theta = IntervalProbabilities.from_point(AB, (0.5, 0.5))
+        monkeypatch.setattr(verify, "random_instance", lambda rng: (obs, theta))
+        check = verify.check_oracle_equivalence(count=3)
+        assert not check.passed
+        assert "instance 0 is invalid" in check.detail
+        assert "sum of upper masses" in check.detail
+
     def test_rejects_large_structures(self):
         frame = Frame(tuple(f"h{i}" for i in range(6)))
         entries = tuple(
