@@ -61,6 +61,7 @@ class EstimationResult:
     restarts: tuple[RestartDiagnostics, ...] = field(repr=False)
     rounds: int  # batched objective evaluations of the search, the first included
     evaluations: int  # rows those evaluated
+    replayed: int  # sweeps taken from another restart's identical sweep
 
     @property
     def converged(self) -> bool:
@@ -142,15 +143,26 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     that this sweep accepts them too (see :func:`_chain_windows`) and
     submits the whole predicted sweep in one round; the prediction only
     saves rounds, so every restart's path is the one it polls alone.
+
+    A sweep's outcome depends only on its start point and step, so the
+    first restart to start a sweep at a (point, step) pair polls it and
+    records where it ended; a restart that starts the same sweep later
+    replays that outcome without evaluating anything, and one that starts
+    it while the first is still polling waits for the outcome.
+
     Returns the final points, values, sweeps and converged flags, the
-    number of batched evaluations and the number of rows evaluated.
+    number of batched evaluations, the number of rows evaluated and the
+    number of sweeps replayed.
     """
     offsets = _trial_offsets(x0.shape[1] // 2)
     n_trials = len(offsets)
     index = np.arange(n_trials)
     x = x0.copy()
     f = _objective_batch(tables, x, alpha)
-    rounds, evaluations = 1, len(x)
+    rounds, evaluations, replayed = 1, len(x), 0
+    # (start point, step) -> (end point, f, gain, accepted trials), or
+    # None while the restart in ``polling`` that owns the sweep polls it
+    memo, polling = {}, {}
     step = np.full(len(x), _INITIAL_STEP)
     sweeps = np.ones(len(x), dtype=int)
     gain = np.zeros(len(x))
@@ -162,13 +174,30 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     cycling = np.zeros(len(x), dtype=bool)  # the last two sweeps accepted alike
     while running.any():
         run = np.flatnonzero(running)
-        chain = run[cycling[run]]
+        poll = run
+        starting = run[pos[run] == 0]
+        if starting.size:
+            idle = []
+            for r in starting.tolist():
+                key = x[r].tobytes() + step[r].tobytes()
+                if key not in memo:
+                    memo[key], polling[r] = None, key
+                    continue
+                idle.append(r)
+                if memo[key] is not None:
+                    x[r], f[r], gain[r], took = memo[key]
+                    accepted[r, took] = True
+                    pos[r] = n_trials
+                    replayed += 1
+            if idle:
+                poll = run[~np.isin(run, idle)]
+        chain = poll[cycling[poll]]
         if chain.size:
             # a prediction holds while this sweep's accepts are its prefix
             done = index < pos[chain, None]
             chain = chain[(accepted[chain] == (last[chain] & done)).all(axis=1)
                           & (last[chain] & ~done).any(axis=1)]
-        plain = run[~np.isin(run, chain)] if chain.size else run
+        plain = poll[~np.isin(poll, chain)] if chain.size else poll
         windows = [_chain_windows(x[r], step[r], pos[r], last[r], offsets)
                    for r in chain]
         # one window of trials per plain restart, one per level of a chain
@@ -182,9 +211,10 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         todo = ((index >= start[:, None]) & (index < stop[:, None])
                 & (trials != base[:, None, :]).any(axis=2))
         values = np.full(todo.shape, -np.inf)
-        values[todo] = _objective_batch(tables, trials[todo], alpha)
-        rounds += 1
-        evaluations += int(todo.sum())
+        if todo.any():
+            values[todo] = _objective_batch(tables, trials[todo], alpha)
+            rounds += 1
+            evaluations += int(todo.sum())
         better = values[: len(plain)] > f[plain, None]
         hit = better.any(axis=1)
         rows = np.flatnonzero(hit)
@@ -212,6 +242,10 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
             i += len(bases)
 
         ended = run[pos[run] == n_trials]
+        for r in ended.tolist():
+            if r in polling:
+                memo[polling.pop(r)] = (x[r].copy(), f[r], gain[r],
+                                        np.flatnonzero(accepted[r]))
         cycling[ended] = ((accepted[ended] == last[ended]).all(axis=1)
                           & accepted[ended].any(axis=1))
         last[ended] = accepted[ended]
@@ -225,7 +259,7 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         sweeps[again] += 1
         gain[again] = 0.0
         pos[again] = 0
-    return x, f, sweeps, converged, rounds, evaluations
+    return x, f, sweeps, converged, rounds, evaluations, replayed
 
 
 def _chain_windows(x, step, pos, predicted, offsets):
@@ -273,7 +307,7 @@ def estimate(
             )
     q = observations.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
-    x, f, sweeps, converged, rounds, evaluations = _pattern_search(
+    x, f, sweeps, converged, rounds, evaluations, replayed = _pattern_search(
         observations.tables, x0, config.alpha, config
     )
 
@@ -303,6 +337,7 @@ def estimate(
         restarts=diagnostics,
         rounds=rounds,
         evaluations=evaluations,
+        replayed=replayed,
     )
 
 

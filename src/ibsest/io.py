@@ -137,15 +137,31 @@ def parse_observation_file(path) -> ObservationSet:
 
 
 def _format_mass(lower: float, upper: float) -> str:
+    # a float's repr is the shortest text that parses back to it exactly
     if lower == upper:
-        return f"{lower:.10g}"
-    return f"{lower:.10g}, {upper:.10g}"
+        return repr(float(lower))
+    return f"{float(lower)!r}, {float(upper)!r}"
+
+
+def _writable(name: str, what: str, forbidden: str) -> str:
+    """``name`` if the text format reads it back unchanged, else ValueError."""
+    if name != name.strip() or name.splitlines() != [name] or any(
+            c in name for c in forbidden):
+        raise ValueError(f"{what} {name!r} cannot be written to an observation file")
+    return name
 
 
 def serialize_observation_set(observations: ObservationSet) -> str:
-    lines = ["frame: " + ", ".join(observations.frame.hypotheses), ""]
+    """The text :func:`parse_observation_text` reads back as an equal set.
+
+    Raises ValueError on a label or hypothesis name the format cannot
+    carry: empty, padded with whitespace, spanning lines, holding ``#``
+    or, for a hypothesis, ``,``, ``{`` or ``}``.
+    """
+    names = [_writable(h, "hypothesis", "#,{}") for h in observations.frame.hypotheses]
+    lines = ["frame: " + ", ".join(names), ""]
     for obs in observations.observations:
-        lines.append(f"obs: {obs.label}")
+        lines.append(f"obs: {_writable(obs.label, 'label', '#')}")
         for e in obs.entries:
             lines.append(
                 f"  {{{', '.join(e.focal.members)}}} {_format_mass(e.lower, e.upper)}"

@@ -1,5 +1,18 @@
-import pytest
+import re
+from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from ibsest import (
+    FocalElement,
+    Frame,
+    IntervalBeliefStructure,
+    MassEntry,
+    ObservationSet,
+    is_crisp,
+    validate_ibs,
+)
 from ibsest.cli import main
 from ibsest.io import (
     ObservationParseError,
@@ -44,6 +57,58 @@ class TestParser:
         obs = parse_observation_text(VALID_TEXT)
         again = parse_observation_text(serialize_observation_set(obs))
         assert again == obs
+
+    def test_round_trip_keeps_crisp_thirds(self):
+        frame = Frame(("a", "b", "c"))
+        third = IntervalBeliefStructure(frame, tuple(
+            MassEntry(FocalElement.of(frame, [h]), 1 / 3, 1 / 3) for h in "abc"), "t")
+        obs = ObservationSet(frame, (third,))
+        again = parse_observation_text(serialize_observation_set(obs))
+        assert again == obs and is_crisp(again.observations[0])
+
+    @pytest.mark.parametrize("names, label, bad", [
+        (("a", "b"), "y#2", "label 'y#2'"),
+        (("a#", "b"), "1", "hypothesis 'a#'"),
+        (("a,c", "b"), "1", "hypothesis 'a,c'"),
+        (("{a", "b"), "1", "hypothesis '{a'"),
+        (("a}", "b"), "1", "hypothesis 'a}'"),
+        (("a", "b"), " 1", "label ' 1'"),
+    ])
+    def test_serializer_rejects_what_the_format_cannot_carry(self, names, label, bad):
+        frame = Frame(names)
+        entry = MassEntry(FocalElement.of(frame, names), 1.0, 1.0)
+        obs = ObservationSet(frame, (IntervalBeliefStructure(frame, (entry,), label),))
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            serialize_observation_set(obs)
+
+    @given(st.data())
+    def test_round_trip_of_generated_valid_sets(self, data):
+        def text(forbidden, max_size):
+            # no whitespace or line breaks, which the format strips or splits at
+            chars = st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs"),
+                                  blacklist_characters=forbidden)
+            return st.text(chars, min_size=1, max_size=max_size)
+
+        names = data.draw(st.lists(text("#,{}", 4), min_size=1, max_size=4, unique=True))
+        frame = Frame(tuple(names))
+        observations = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            masks = data.draw(st.lists(st.integers(1, 2 ** len(names) - 1),
+                                       min_size=1, max_size=4, unique=True))
+            weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(masks),
+                                         max_size=len(masks)))
+            entries = []
+            for mask, w in zip(masks, weights):
+                p = w / sum(weights)
+                lower = p * data.draw(st.sampled_from([0.0, 1.0, 0.5, 1 / 3]))
+                upper = p + (1.0 - p) * data.draw(st.floats(0.0, 1.0))
+                members = [h for i, h in enumerate(names) if mask >> i & 1]
+                entries.append(MassEntry(FocalElement.of(frame, members), lower, upper))
+            label = data.draw(text("#", 6))
+            observations.append(IntervalBeliefStructure(frame, tuple(entries), label))
+        obs = ObservationSet(frame, tuple(observations))
+        assume(all(validate_ibs(o).ok for o in obs.observations))
+        assert parse_observation_text(serialize_observation_set(obs)) == obs
 
     def test_missing_frame_is_located(self):
         with pytest.raises(ObservationParseError, match="line 1"):
@@ -129,6 +194,21 @@ class TestEstimateCommand:
         assert "tool_version:" in report
         assert "input_digest: sha256:" in report
         assert report.count("row: alpha=") == 2
+
+    @pytest.mark.parametrize("table", ["table1", "table3", "table5"])
+    def test_report_matches_golden(self, table, fixtures, tmp_path, capsys):
+        # tests/golden holds the reports `ibsest estimate <table> --alpha 1,2
+        # --seed 42 --out` wrote at version 0.2.0; a changed search path shows
+        out = tmp_path / "r.txt"
+        assert main(["estimate", str(fixtures / f"{table}.obs"), "--alpha", "1,2",
+                     "--seed", "42", "--out", str(out)]) == 0
+        capsys.readouterr()
+
+        def lines(text):
+            return [l for l in text.splitlines() if not l.startswith("tool_version:")]
+
+        golden = Path(__file__).parent / "golden" / f"{table}.txt"
+        assert lines(out.read_text()) == lines(golden.read_text())
 
     def test_invalid_observations_exit_one(self, tmp_path, capsys):
         f = tmp_path / "bad.obs"

@@ -64,8 +64,9 @@ class TestEstimate:
         monkeypatch.setattr(estimator, "_objective_batch", counted)
         a = estimate(table3, cfg)
         assert (a.rounds, a.evaluations) == (len(calls), sum(calls))
+        assert a.replayed > 0
         b = estimate(table3, cfg)
-        assert (a.rounds, a.evaluations) == (b.rounds, b.evaluations)
+        assert (a.rounds, a.evaluations, a.replayed) == (b.rounds, b.evaluations, b.replayed)
 
     def test_converged_reports_the_winning_restart(self, table3):
         # a budget small enough that some restarts stop on it

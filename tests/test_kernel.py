@@ -166,7 +166,7 @@ def test_lockstep_search_follows_sequential_paths(table3):
                              max_iterations_per_start=25)
     q = table3.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
-    x, f, sweeps, converged, _, _ = estimator._pattern_search(
+    x, f, sweeps, converged, *_ = estimator._pattern_search(
         table3.tables, x0, config.alpha, config)
     assert not converged.all() and converged.any()
     for r in range(config.restarts):
@@ -183,7 +183,7 @@ def test_cycling_restart_follows_sequential_path_in_fewer_rounds(table5):
                              max_iterations_per_start=250)
     q = table5.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
-    x, f, sweeps, converged, rounds, _ = estimator._pattern_search(
+    x, f, sweeps, converged, rounds, *_ = estimator._pattern_search(
         table5.tables, x0, config.alpha, config)
     assert sweeps[2] == config.max_iterations_per_start and not converged[2]
     for r in range(config.restarts):
@@ -197,3 +197,36 @@ def test_restarts_do_not_depend_on_restart_count(table3):
     few = estimate(table3, EstimatorConfig(alpha=2.0, seed=42, restarts=16))
     many = estimate(table3, EstimatorConfig(alpha=2.0, seed=42, restarts=64))
     assert few.restarts == many.restarts[:16]
+
+
+def test_duplicate_restart_replays_every_sweep(table5):
+    config = EstimatorConfig(alpha=1.0)
+    x0 = np.array([_initial_point(2, table5.frame.size, 42)])
+    one = estimator._pattern_search(table5.tables, x0, config.alpha, config)
+    two = estimator._pattern_search(table5.tables, np.repeat(x0, 2, axis=0),
+                                    config.alpha, config)
+    x, f, sweeps, converged, rounds, evaluations, replayed = two
+    assert x[0].tolist() == x[1].tolist() == one[0][0].tolist()
+    assert (f[0], sweeps[0], converged[0]) == (f[1], sweeps[1], converged[1])
+    assert (f[0], sweeps[0], converged[0]) == (one[1][0], one[2][0], one[3][0])
+    # the copy waits for each sweep and replays it in a round without rows
+    assert replayed == sweeps[1]
+    assert evaluations == one[5] + 1
+    assert rounds == one[4]
+
+
+def test_replayed_sweeps_keep_each_restart_path_and_budget(table5):
+    # Restarts 0, 2, 4, 5, 6 and 11 replay sweeps and then stop on the
+    # budget; restarts 3, 7, 8 and 9 replay sweeps and converge.
+    config = EstimatorConfig(alpha=1.0, seed=40, restarts=12,
+                             max_iterations_per_start=20)
+    q = table5.frame.size
+    x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
+    x, f, sweeps, converged, _, evaluations, replayed = estimator._pattern_search(
+        table5.tables, x0, config.alpha, config)
+    assert converged.any() and not converged.all() and replayed > 0
+    for r in range(config.restarts):
+        ref = sequential_search(table5.tables, x0[r].tolist(), config.alpha, config)
+        assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
+    # 14,983 rows without replaying
+    assert evaluations <= 10_500
