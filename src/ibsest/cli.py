@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -90,10 +91,13 @@ def cmd_verify(args) -> int:
         fixtures=args.fixtures, seed=args.seed, restarts=args.restarts
     )
     all_ok = True
-    for check in results:
+    start = time.perf_counter()
+    for check in results:  # each check runs as the loop asks for its result
+        elapsed = time.perf_counter() - start
         status = "PASS" if check.passed else "FAIL"
-        print(f"{status} {check.name}: {check.detail}")
+        print(f"{status} {check.name}: {check.detail} ({elapsed:.2f} s)", flush=True)
         all_ok = all_ok and check.passed
+        start = time.perf_counter()
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 

@@ -160,8 +160,9 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     x = x0.copy()
     f = _objective_batch(tables, x, alpha)
     rounds, evaluations, replayed = 1, len(x), 0
-    # (start point, step) -> (end point, f, gain, accepted trials), or
-    # None while the restart in ``polling`` that owns the sweep polls it
+    # (start point, step) -> the packed outcome (end point, f, gain,
+    # accepted-trial flags), or None while the restart in ``polling``
+    # that owns the sweep polls it; one bytes value per entry
     memo, polling = {}, {}
     step = np.full(len(x), _INITIAL_STEP)
     sweeps = np.ones(len(x), dtype=int)
@@ -185,8 +186,10 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
                     continue
                 idle.append(r)
                 if memo[key] is not None:
-                    x[r], f[r], gain[r], took = memo[key]
-                    accepted[r, took] = True
+                    outcome = np.frombuffer(memo[key], count=x.shape[1] + 2)
+                    x[r], f[r], gain[r] = outcome[:-2], outcome[-2], outcome[-1]
+                    accepted[r] = np.frombuffer(memo[key], dtype=bool,
+                                                offset=outcome.nbytes)
                     pos[r] = n_trials
                     replayed += 1
             if idle:
@@ -244,8 +247,8 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         ended = run[pos[run] == n_trials]
         for r in ended.tolist():
             if r in polling:
-                memo[polling.pop(r)] = (x[r].copy(), f[r], gain[r],
-                                        np.flatnonzero(accepted[r]))
+                memo[polling.pop(r)] = (x[r].tobytes() + f[r].tobytes()
+                                        + gain[r].tobytes() + accepted[r].tobytes())
         cycling[ended] = ((accepted[ended] == last[ended]).all(axis=1)
                           & accepted[ended].any(axis=1))
         last[ended] = accepted[ended]

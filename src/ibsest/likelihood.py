@@ -29,7 +29,13 @@ from .belief import (
 from .intervalprob import IntervalProbabilities, is_feasible
 from .intervals import Interval
 
-_CHUNK_ELEMENTS = 1 << 21  # per kernel call: 16 MB of float64 in the largest array
+# Byte budget of one kernel block: a batch is evaluated in blocks of rows
+# whose working set fits it, so the kernel's memory does not grow with the
+# batch. Twice the 2 MiB L2 cache of the two-core Xeon it was measured on:
+# at 2 and 3 MiB, glibc's malloc handed the freed heap back to the system
+# after most blocks and faulted it in again for the next (about 40k page
+# faults per paper-cells pass instead of about 10).
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -256,13 +262,24 @@ def likelihood_bounds(
     Subset bounds, the greedy inner program of :func:`ibs_likelihood` for
     every observation (a stable argsort, a K-step fill, a scatter back),
     then the product over observations. The numpy operation count does
-    not grow with the number of observations; rows are independent.
+    not grow with the number of observations; rows are independent, so
+    the batch is evaluated in blocks of rows within ``_BLOCK_BYTES``.
     """
-    rows = max(1, _CHUNK_ELEMENTS // (2 * tables.members.size))
-    if lo.shape[0] > rows:
-        parts = [likelihood_bounds(tables, lo[i : i + rows], hi[i : i + rows])
-                 for i in range(0, lo.shape[0], rows)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+    n_obs, k_max, m_max = tables.members.shape
+    # per row: the (2, n, K, M) member gather and the eight (2, n, K)
+    # float temporaries of the subset bounds, greedy fill, scatter and value
+    rows = max(1, _BLOCK_BYTES // (16 * n_obs * k_max * (m_max + 8)))
+    if len(lo) <= rows:
+        return _block_bounds(tables, lo, hi)
+    l_lo, l_hi = np.empty(len(lo)), np.empty(len(lo))
+    for i in range(0, len(lo), rows):
+        l_lo[i : i + rows], l_hi[i : i + rows] = _block_bounds(
+            tables, lo[i : i + rows], hi[i : i + rows])
+    return l_lo, l_hi
+
+
+def _block_bounds(tables: MassTables, lo: np.ndarray, hi: np.ndarray):
+    """:func:`likelihood_bounds` of one block of rows, in one pass."""
     n_rows, q = lo.shape
     theta = np.zeros((2, n_rows, q + 1))  # column q is the padding zero
     theta[0, :, :q] = lo

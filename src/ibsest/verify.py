@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -163,20 +164,20 @@ def check_oracle_equivalence(count=1000, seed=1234) -> CheckResult:
     )
 
 
-def run_all(fixtures: Path | None = None, seed=42, restarts=64) -> list[CheckResult]:
+def run_all(fixtures: Path | None = None, seed=42, restarts=64) -> Iterator[CheckResult]:
+    """Run every check, yielding each result as its check completes."""
     fixtures = fixtures or fixture_dir()
-    results = [
-        check_crisp_reproduction(fixtures, seed=seed, restarts=restarts),
-        check_ignorance_column(fixtures),
-    ]
-    results += check_objective_dominance(
-        fixtures, "table3.obs", "table4.expected", [1.0, 2.0, 3.0],
-        seed=seed, restarts=restarts,
-    )
-    results.append(check_concentration(fixtures, seed=seed, restarts=restarts))
-    results += check_objective_dominance(
-        fixtures, "table5.obs", "table6.expected", [2.0, 3.0, 4.0, 5.0],
-        seed=seed, restarts=restarts,
-    )
-    results.append(check_oracle_equivalence())
-    return results
+    yield check_crisp_reproduction(fixtures, seed=seed, restarts=restarts)
+    yield check_ignorance_column(fixtures)
+    for alpha in (1.0, 2.0, 3.0):
+        yield from check_objective_dominance(
+            fixtures, "table3.obs", "table4.expected", [alpha],
+            seed=seed, restarts=restarts,
+        )
+    yield check_concentration(fixtures, seed=seed, restarts=restarts)
+    for alpha in (2.0, 3.0, 4.0, 5.0):
+        yield from check_objective_dominance(
+            fixtures, "table5.obs", "table6.expected", [alpha],
+            seed=seed, restarts=restarts,
+        )
+    yield check_oracle_equivalence()

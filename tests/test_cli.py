@@ -263,3 +263,8 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL crisp-reproduction" in out
+        # one line per check, its elapsed seconds after the detail
+        lines = out.splitlines()
+        assert len(lines) == 11
+        for line in lines:
+            assert re.fullmatch(r"(PASS|FAIL) [\w.-]+: .+ \(\d+\.\d\d s\)", line), line

@@ -1,13 +1,20 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ibsest import (
     EstimatorConfig,
+    FocalElement,
+    Frame,
+    IntervalBeliefStructure,
     IntervalProbabilities,
+    MassEntry,
+    ObservationSet,
     alpha_sweep,
     estimate,
     ignorance,
     is_feasible,
     objective,
+    validate_ibs,
 )
 from ibsest import estimator
 
@@ -103,6 +110,44 @@ class TestEstimate:
         res = estimate(table1, EstimatorConfig(seed=1, restarts=6,
                                                max_iterations_per_start=200))
         assert [r.restart for r in res.restarts] == list(range(6))
+
+
+@st.composite
+def observation_sets(draw):
+    """Observation sets whose mass boxes are built as in
+    ``verify.random_instance``, around a point on the simplex; some have
+    upper masses that sum to 1 - 5e-10, inside the validation tolerance."""
+    q = draw(st.integers(2, 4))
+    frame = Frame(tuple(f"h{i}" for i in range(q)))
+    observations = []
+    for k in range(draw(st.integers(1, 3))):
+        masks = draw(st.lists(st.integers(1, 2**q - 1), min_size=1,
+                              max_size=min(5, 2**q - 1), unique=True))
+        unit = st.lists(st.floats(0.0, 1.0), min_size=len(masks), max_size=len(masks))
+        weights = [w + 1e-3 for w in draw(unit)]
+        point = [w / sum(weights) for w in weights]
+        lowers = [p * u for p, u in zip(point, draw(unit))]
+        if draw(st.booleans()):
+            uppers = [p * (1.0 - 5e-10) for p in point]
+        else:
+            uppers = [p + (1.0 - p) * u for p, u in zip(point, draw(unit))]
+        entries = tuple(
+            MassEntry(FocalElement.of(frame, [frame.hypotheses[j] for j in range(q)
+                                              if mask >> j & 1]), lo, hi)
+            for mask, lo, hi in zip(masks, lowers, uppers)
+        )
+        observations.append(IntervalBeliefStructure(frame, entries, label=f"o{k}"))
+    return ObservationSet(frame, tuple(observations))
+
+
+@settings(max_examples=40, deadline=None)
+@given(observations=observation_sets(), alpha=st.sampled_from([1.0, 2.0, 3.5]))
+def test_every_validated_set_estimates(observations, alpha):
+    assume(all(validate_ibs(o).ok for o in observations.observations))
+    result = estimate(observations, EstimatorConfig(
+        alpha=alpha, restarts=2, max_iterations_per_start=5))
+    assert is_feasible(result.theta)
+    assert objective(result.theta, observations, alpha) == result.objective
 
 
 class TestAlphaSweep:

@@ -3,6 +3,7 @@ scalar references."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,12 +102,40 @@ def test_kernel_matches_scalar_path_and_oracle(q):
 def test_row_value_does_not_depend_on_batch(table5, monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.random((1024, 2 * table5.frame.size))
+    monkeypatch.setattr(likelihood, "_BLOCK_BYTES", 1 << 19)
+    blocks, kernel = [], likelihood._block_bounds
+
+    def recorded(tables, lo, hi):
+        blocks.append(len(lo))
+        return kernel(tables, lo, hi)
+
+    monkeypatch.setattr(likelihood, "_block_bounds", recorded)
     batch = _objective_batch(table5.tables, x, 2.0)
-    for i in (0, 1, 511, 1000, 1023):
+    monkeypatch.setattr(likelihood, "_block_bounds", kernel)
+    # at least three full blocks, then a partial one
+    assert len(blocks) >= 4 and set(blocks[:-1]) == {blocks[0]}
+    assert 0 < blocks[-1] < blocks[0]
+    for i in range(len(x)):
         assert _objective_batch(table5.tables, x[i : i + 1], 2.0)[0] == batch[i]
-    # in chunks too, as a large batch is evaluated
-    monkeypatch.setattr(likelihood, "_CHUNK_ELEMENTS", 5000)
-    assert np.array_equal(_objective_batch(table5.tables, x, 2.0), batch)
+
+
+@pytest.mark.parametrize("name", ["table1", "table5"])
+def test_kernel_working_set_does_not_grow_with_batch(name, request):
+    observations = request.getfixturevalue(name)
+    tables = observations.tables
+    rng = np.random.default_rng(5)
+
+    def peak(rows):
+        lo, hi = _repair(rng.random((rows, 2 * observations.frame.size)))
+        tracemalloc.start()
+        try:
+            likelihood_bounds(tables, lo, hi)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # only the (N,) outputs grow with the batch
+    assert peak(20_000) <= 1.5 * peak(2_000)
 
 
 def test_joint_likelihood_rejects_infeasible_theta(table1):
