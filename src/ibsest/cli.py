@@ -10,6 +10,7 @@ from pathlib import Path
 from . import verify as verify_mod
 from .belief import validate_ibs
 from .estimator import EstimatorConfig, alpha_sweep
+from .intervalprob import check_alpha
 from .io import (
     ObservationParseError,
     file_digest,
@@ -25,12 +26,22 @@ EXIT_USAGE = 2
 
 def _parse_alphas(text: str) -> list[float]:
     try:
-        alphas = [float(a) for a in text.split(",") if a.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}")
-    if not alphas or any(a < 1 for a in alphas):
-        raise argparse.ArgumentTypeError("alphas must be a non-empty list of reals >= 1")
+        alphas = [check_alpha(float(a)) for a in text.split(",") if a.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}")
+    if not alphas:
+        raise argparse.ArgumentTypeError("alphas must be a non-empty list")
     return alphas
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,14 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--alpha", type=_parse_alphas, default=[1.0, 2.0, 3.0, 4.0, 5.0],
                        help="comma-separated alpha values (default 1,2,3,4,5)")
     p_est.add_argument("--seed", type=int, default=42)
-    p_est.add_argument("--restarts", type=int, default=64)
+    p_est.add_argument("--restarts", type=_positive_int, default=64)
     p_est.add_argument("--out", type=Path, default=None,
                        help="write the structured report to this file")
 
     p_ver = sub.add_parser("verify", help="reproduce the reference tables")
     p_ver.add_argument("--fixtures", type=Path, default=None)
     p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--restarts", type=int, default=64)
+    p_ver.add_argument("--restarts", type=_positive_int, default=64)
     return parser
 
 

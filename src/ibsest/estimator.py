@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .belief import MassTables, ObservationSet, validate_ibs
-from .intervalprob import IntervalProbabilities, ignorance
+from .intervalprob import IntervalProbabilities, check_alpha, ignorance
 from .intervals import Interval, interval_distance
-from .likelihood import joint_likelihood, likelihood_bounds, sum_in_order
+from .likelihood import block_rows, joint_likelihood, likelihood_bounds, sum_in_order
 
 _ZERO = Interval(0.0, 0.0)
 _MIN_STEP = 1e-6
@@ -35,8 +35,7 @@ class EstimatorConfig:
     workers: int = 1  # accepted and ignored: all restarts run in one process
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
+        check_alpha(self.alpha)
         if self.restarts <= 0 or self.max_iterations_per_start <= 0:
             raise ValueError("restarts and iteration budget must be positive")
 
@@ -134,10 +133,15 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     that improves the objective; a sweep gaining no more than
     ``_MIN_GAIN`` halves the step, until it falls below the minimum
     (converged) or the sweep budget is spent. The restarts run in rounds:
-    each submits every trial left in its sweep, built from its current
-    point, to one batched evaluation, then takes its first improving
-    trial, the one a lone restart would take, and resubmits the trials
-    after it from the new point in the next round.
+    each submits a window of the trials left in its sweep, built from its
+    current point, to one batched evaluation, then takes its first
+    improving trial, the one a lone restart would take, and polls the
+    trials after it from the new point in the next round; a window without
+    one is followed by the next window from the same point. The windows
+    of a round share one kernel block (see :func:`likelihood.block_rows`),
+    which bounds the rows polled past first improving trials: a round of
+    many restarts polls a short window of each, one of a few stragglers
+    the rest of each sweep.
 
     A restart whose last two sweeps accepted the same trials predicts
     that this sweep accepts them too (see :func:`_chain_windows`) and
@@ -156,6 +160,7 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     """
     offsets = _trial_offsets(x0.shape[1] // 2)
     n_trials = len(offsets)
+    block = block_rows(tables)
     index = np.arange(n_trials)
     x = x0.copy()
     f = _objective_batch(tables, x, alpha)
@@ -208,7 +213,9 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
                                          for r, w in zip(chain, windows))])
         base = np.concatenate([x[plain], *(w[0] for w in windows)])
         start = np.concatenate([pos[plain], *(w[1] for w in windows)])
-        stop = np.concatenate([np.full(len(plain), n_trials), *(w[2] for w in windows)])
+        width = -(-block // max(len(plain), 1))  # ceil: the plain windows fill a block
+        stop = np.concatenate([np.minimum(pos[plain] + width, n_trials),
+                               *(w[2] for w in windows)])
         trials = np.clip(base[:, None, :] + step[owner, None, None] * offsets, 0.0, 1.0)
         # a trial clipped back onto its base point is skipped, not polled
         todo = ((index >= start[:, None]) & (index < stop[:, None])
@@ -227,7 +234,7 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         x[moved] = trials[rows, took]
         pos[moved] = took + 1
         accepted[moved, took] = True
-        pos[plain[~hit]] = n_trials
+        pos[plain[~hit]] = stop[: len(plain)][~hit]
         # a chain's windows in order, up to the first that breaks the prediction
         i = len(plain)
         for r, (bases, _, _) in zip(chain, windows):

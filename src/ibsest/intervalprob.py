@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +52,19 @@ def is_feasible(p: IntervalProbabilities) -> bool:
     return not box_violations(p.lowers, p.uppers)
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` if it is a finite real >= 1, else ``ValueError``."""
+    if not (math.isfinite(alpha) and alpha >= 1.0):
+        raise ValueError(f"alpha must be a finite real >= 1, got {alpha}")
+    return alpha
+
+
 def ignorance(p: IntervalProbabilities, alpha: float) -> float:
     """Mean of interval widths raised to the power alpha.
 
     0 for point-valued distributions, 1 when every interval is [0, 1].
     """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    check_alpha(alpha)
     if not is_feasible(p):
         raise ValueError("interval probabilities are infeasible")
     widths = p.widths

@@ -34,7 +34,8 @@ from .intervals import Interval
 # batch. Twice the 2 MiB L2 cache of the two-core Xeon it was measured on:
 # at 2 and 3 MiB, glibc's malloc handed the freed heap back to the system
 # after most blocks and faulted it in again for the next (about 40k page
-# faults per paper-cells pass instead of about 10).
+# faults per paper-cells pass instead of about 10). The search's rounds are
+# sized by the same block (see block_rows).
 _BLOCK_BYTES = 1 << 22
 
 
@@ -254,6 +255,16 @@ def sum_in_order(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def block_rows(tables: MassTables) -> int:
+    """Rows of one kernel block: as many as fit ``_BLOCK_BYTES``.
+
+    Per row, the (2, n, K, M) member gather and the eight (2, n, K) float
+    temporaries of the subset bounds, greedy fill, scatter and value.
+    """
+    n_obs, k_max, m_max = tables.members.shape
+    return max(1, _BLOCK_BYTES // (16 * n_obs * k_max * (m_max + 8)))
+
+
 def likelihood_bounds(
     tables: MassTables, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,10 +276,7 @@ def likelihood_bounds(
     not grow with the number of observations; rows are independent, so
     the batch is evaluated in blocks of rows within ``_BLOCK_BYTES``.
     """
-    n_obs, k_max, m_max = tables.members.shape
-    # per row: the (2, n, K, M) member gather and the eight (2, n, K)
-    # float temporaries of the subset bounds, greedy fill, scatter and value
-    rows = max(1, _BLOCK_BYTES // (16 * n_obs * k_max * (m_max + 8)))
+    rows = block_rows(tables)
     if len(lo) <= rows:
         return _block_bounds(tables, lo, hi)
     l_lo, l_hi = np.empty(len(lo)), np.empty(len(lo))

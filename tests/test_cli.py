@@ -236,6 +236,18 @@ class TestEstimateCommand:
     def test_bad_alpha_flag_exits_two(self, fixtures):
         assert main(["estimate", str(fixtures / "table1.obs"), "--alpha", "0.5"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "1,nan", "2,-inf"])
+    def test_non_finite_alpha_exits_two(self, fixtures, alpha, capsys):
+        assert main(["estimate", str(fixtures / "table1.obs"), "--alpha", alpha]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "verify"])
+    @pytest.mark.parametrize("restarts", ["0", "-3", "x"])
+    def test_nonpositive_restarts_exit_two(self, fixtures, command, restarts, capsys):
+        args = [str(fixtures / "table1.obs")] if command == "estimate" else []
+        assert main([command, *args, "--restarts", restarts]) == 2
+        assert "--restarts" in capsys.readouterr().err
+
     def test_file_that_validates_also_estimates(self, tmp_path, capsys):
         # upper masses sum to 1 - 2e-10: inside the validation tolerance
         f = tmp_path / "near.obs"

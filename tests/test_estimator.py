@@ -194,6 +194,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EstimatorConfig(alpha=0.5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            EstimatorConfig(alpha=alpha)
+
     def test_nonpositive_restarts(self):
         with pytest.raises(ValueError):
             EstimatorConfig(restarts=0)

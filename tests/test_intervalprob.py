@@ -71,6 +71,12 @@ class TestIgnorance:
         with pytest.raises(ValueError):
             ignorance(p, 0.5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        p = IntervalProbabilities(H3, (0.1, 0.1, 0.1), (0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            ignorance(p, alpha)
+
     def test_non_integer_alpha_accepted(self):
         p = IntervalProbabilities(H3, (0.1, 0.1, 0.1), (0.5, 0.5, 0.5))
         assert 0.0 < ignorance(p, 1.5) < 1.0

@@ -259,3 +259,19 @@ def test_replayed_sweeps_keep_each_restart_path_and_budget(table5):
         assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
     # 14,983 rows without replaying
     assert evaluations <= 10_500
+
+
+def test_windows_keep_paths_and_cut_rows(table5, monkeypatch):
+    config = EstimatorConfig(alpha=1.0, seed=42, restarts=64)
+    q = table5.frame.size
+    x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
+    windowed = estimator._pattern_search(table5.tables, x0, config.alpha, config)
+    # a block this large gives every restart the rest of its sweep each round
+    monkeypatch.setattr(estimator, "block_rows", lambda tables: 1 << 40)
+    whole = estimator._pattern_search(table5.tables, x0, config.alpha, config)
+    assert windowed[0].tobytes() == whole[0].tobytes()
+    for got, want in zip(windowed[1:4], whole[1:4]):
+        assert got.tolist() == want.tolist()
+    # 48,292 rows when every round submits the rest of each sweep
+    assert whole[5] > 45_000
+    assert windowed[5] < 25_000
