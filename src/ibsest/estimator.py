@@ -132,21 +132,22 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     Per restart, a sweep polls the trials in order and moves to each one
     that improves the objective; a sweep gaining no more than
     ``_MIN_GAIN`` halves the step, until it falls below the minimum
-    (converged) or the sweep budget is spent. The restarts run in rounds:
-    each submits a window of the trials left in its sweep, built from its
-    current point, to one batched evaluation, then takes its first
-    improving trial, the one a lone restart would take, and polls the
-    trials after it from the new point in the next round; a window without
-    one is followed by the next window from the same point. The windows
-    of a round share one kernel block (see :func:`likelihood.block_rows`),
-    which bounds the rows polled past first improving trials: a round of
-    many restarts polls a short window of each, one of a few stragglers
-    the rest of each sweep.
-
-    A restart whose last two sweeps accepted the same trials predicts
-    that this sweep accepts them too (see :func:`_chain_windows`) and
-    submits the whole predicted sweep in one round; the prediction only
-    saves rounds, so every restart's path is the one it polls alone.
+    (converged) or the sweep budget is spent. The restarts run in rounds,
+    each one batched evaluation of windows of trials. A restart whose
+    last two sweeps accepted the same trials predicts that this sweep
+    accepts them too, as long as its accepts so far are their prefix. Its
+    round is the rest of its sweep, split after each predicted accept
+    still ahead: the first window polls from its current point, each
+    later one from the point the predicted accept before it reaches, and
+    the last runs to the end of the sweep. A restart that predicts
+    nothing has one window, and these windows together fill one kernel
+    block (see :func:`likelihood.block_rows`), which bounds the rows
+    polled past first improving trials. The windows are resolved in
+    order: each takes its first improving trial, the one a lone restart
+    would take; the first window where that trial is not the predicted
+    accept is the restart's last this round, and a window without one
+    moves the restart to its end at the same point. So the windows only
+    save rounds, and every restart's path is the one it polls alone.
 
     A sweep's outcome depends only on its start point and step, so the
     first restart to start a sweep at a (point, step) pair polls it and
@@ -180,76 +181,73 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     cycling = np.zeros(len(x), dtype=bool)  # the last two sweeps accepted alike
     while running.any():
         run = np.flatnonzero(running)
-        poll = run
-        starting = run[pos[run] == 0]
-        if starting.size:
-            idle = []
-            for r in starting.tolist():
-                key = x[r].tobytes() + step[r].tobytes()
-                if key not in memo:
-                    memo[key], polling[r] = None, key
-                    continue
-                idle.append(r)
-                if memo[key] is not None:
-                    outcome = np.frombuffer(memo[key], count=x.shape[1] + 2)
-                    x[r], f[r], gain[r] = outcome[:-2], outcome[-2], outcome[-1]
-                    accepted[r] = np.frombuffer(memo[key], dtype=bool,
-                                                offset=outcome.nbytes)
-                    pos[r] = n_trials
-                    replayed += 1
-            if idle:
-                poll = run[~np.isin(run, idle)]
-        chain = poll[cycling[poll]]
-        if chain.size:
+        polls = running.copy()
+        for r in run[pos[run] == 0].tolist():
+            key = x[r].tobytes() + step[r].tobytes()
+            if key not in memo:
+                memo[key], polling[r] = None, key
+                continue
+            polls[r] = False
+            if memo[key] is not None:
+                outcome = np.frombuffer(memo[key], count=x.shape[1] + 2)
+                x[r], f[r], gain[r] = outcome[:-2], outcome[-2], outcome[-1]
+                accepted[r] = np.frombuffer(memo[key], dtype=bool, offset=outcome.nbytes)
+                pos[r] = n_trials
+                replayed += 1
+        poll = np.flatnonzero(polls)
+        if poll.size:
             # a prediction holds while this sweep's accepts are its prefix
-            done = index < pos[chain, None]
-            chain = chain[(accepted[chain] == (last[chain] & done)).all(axis=1)
-                          & (last[chain] & ~done).any(axis=1)]
-        plain = poll[~np.isin(poll, chain)] if chain.size else poll
-        windows = [_chain_windows(x[r], step[r], pos[r], last[r], offsets)
-                   for r in chain]
-        # one window of trials per plain restart, one per level of a chain
-        owner = np.concatenate([plain, *(np.full(len(w[0]), r)
-                                         for r, w in zip(chain, windows))])
-        base = np.concatenate([x[plain], *(w[0] for w in windows)])
-        start = np.concatenate([pos[plain], *(w[1] for w in windows)])
-        width = -(-block // max(len(plain), 1))  # ceil: the plain windows fill a block
-        stop = np.concatenate([np.minimum(pos[plain] + width, n_trials),
-                               *(w[2] for w in windows)])
-        trials = np.clip(base[:, None, :] + step[owner, None, None] * offsets, 0.0, 1.0)
-        # a trial clipped back onto its base point is skipped, not polled
-        todo = ((index >= start[:, None]) & (index < stop[:, None])
-                & (trials != base[:, None, :]).any(axis=2))
-        values = np.full(todo.shape, -np.inf)
-        if todo.any():
-            values[todo] = _objective_batch(tables, trials[todo], alpha)
-            rounds += 1
-            evaluations += int(todo.sum())
-        better = values[: len(plain)] > f[plain, None]
-        hit = better.any(axis=1)
-        rows = np.flatnonzero(hit)
-        moved, took = plain[rows], better[rows].argmax(axis=1)
-        gain[moved] += values[rows, took] - f[moved]
-        f[moved] = values[rows, took]
-        x[moved] = trials[rows, took]
-        pos[moved] = took + 1
-        accepted[moved, took] = True
-        pos[plain[~hit]] = stop[: len(plain)][~hit]
-        # a chain's windows in order, up to the first that breaks the prediction
-        i = len(plain)
-        for r, (bases, _, _) in zip(chain, windows):
-            for j in range(i, i + len(bases)):
-                improving = np.flatnonzero(values[j] > f[r])
-                if not improving.size:
-                    pos[r] = stop[j]
-                    break
-                t = improving[0]
-                gain[r] += values[j, t] - f[r]
-                f[r], x[r], pos[r] = values[j, t], trials[j, t], t + 1
-                accepted[r, t] = True
-                if t + 1 < stop[j]:  # an accept before the predicted one
-                    break
-            i += len(bases)
+            done = index < pos[poll, None]
+            holds = cycling[poll] & (accepted[poll] == (last[poll] & done)).all(axis=1)
+            # the predicted accepts still ahead, restart by restart, in sweep order
+            rows, cols = np.nonzero(last[poll] & ~done & holds[:, None])
+            n_win = np.bincount(rows, minlength=len(poll)) + 1
+            # ceil: the windows of restarts without a prediction fill a block
+            width = -(-block // max(np.count_nonzero(n_win == 1), 1))
+            # each restart's windows in sweep order, split after each predicted
+            # accept; a split sweep's last window runs to its end
+            owner = np.repeat(poll, n_win)
+            later = np.arange(len(rows)) + rows + 1  # the window after each split
+            cut = cols + 1
+            start = pos[owner]
+            start[later] = cut
+            stop = np.minimum(start + width, n_trials)
+            stop[later] = n_trials
+            stop[later - 1] = cut
+            # a later window polls from the point its predicted accept reaches
+            base = x[owner]
+            move = step[owner[later], None] * offsets[cols]
+            for _ in range(n_win.max() - 1):  # each pass fixes one more level
+                base[later] = np.clip(base[later - 1] + move, 0.0, 1.0)
+            trials = np.clip(base[:, None, :] + step[owner, None, None] * offsets, 0.0, 1.0)
+            # a trial clipped back onto its base point is skipped, not polled
+            todo = ((index >= start[:, None]) & (index < stop[:, None])
+                    & (trials != base[:, None, :]).any(axis=2))
+            values = np.full(todo.shape, -np.inf)
+            if todo.any():
+                values[todo] = _objective_batch(tables, trials[todo], alpha)
+                rounds += 1
+                evaluations += int(todo.sum())
+            ref = f[owner]  # the value each window starts from
+            ref[later] = values[later - 1, cols]  # what its predicted accept reached
+            better = values > ref[:, None]
+            hit = better.any(axis=1)
+            took = better.argmax(axis=1)
+            # a restart's last window this round: its first whose first
+            # improving trial is not the predicted one, or its final window
+            ends = np.cumsum(n_win)
+            broke = ~hit | (took + 1 < stop)
+            broke[ends - 1] = True
+            w = np.flatnonzero(broke)
+            w = w[np.searchsorted(w, ends - n_win)]  # one per restart, in poll order
+            acc = np.flatnonzero(hit & (np.arange(len(owner)) <= np.repeat(w, n_win)))
+            r, t = owner[acc], took[acc]
+            np.add.at(gain, r, values[acc, t] - ref[acc])  # in accept order
+            accepted[r, t] = True
+            moved, t = hit[w], took[w]
+            x[poll] = np.where(moved[:, None], trials[w, t], base[w])
+            f[poll] = np.where(moved, values[w, t], ref[w])
+            pos[poll] = np.where(moved, t + 1, stop[w])
 
         ended = run[pos[run] == n_trials]
         for r in ended.tolist():
@@ -270,23 +268,6 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         gain[again] = 0.0
         pos[again] = 0
     return x, f, sweeps, converged, rounds, evaluations, replayed
-
-
-def _chain_windows(x, step, pos, predicted, offsets):
-    """One restart's sweep from trial ``pos``, split at its predicted accepts.
-
-    Window 0 polls from ``x`` up to and including the first predicted
-    accept at or after ``pos``; window k polls from the point that
-    accept k reaches, up to the next one, the last window to the end of
-    the sweep. Returns the base points and the [start, stop) of each
-    window.
-    """
-    chain = np.flatnonzero(predicted[pos:]) + pos
-    bases = [x]
-    for t in chain:
-        bases.append(np.clip(bases[-1] + step * offsets[t], 0.0, 1.0))
-    return (np.array(bases), np.concatenate([[pos], chain + 1]),
-            np.concatenate([chain + 1, [len(offsets)]]))
 
 
 def _initial_point(restart: int, q: int, seed: int) -> list:

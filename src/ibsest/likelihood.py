@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import (
-    ROUNDING_TOL,
     SUM_TOL,
     FocalElement,
     IntervalBeliefStructure,
@@ -197,24 +196,6 @@ def _mass_vertices(a, b):
                     yield m
 
 
-def _grid_points(a, b, depth):
-    """Grid over the mass box, projected onto the sum-to-one slice."""
-    axes = [np.linspace(a[i], b[i], depth) for i in range(len(a))]
-    for combo in itertools.product(*axes):
-        m = np.array(combo)
-        deficit = 1.0 - m.sum()
-        if deficit > 0:
-            slack = b - m
-        else:
-            slack = m - a
-        total = slack.sum()
-        if total <= 0:
-            continue
-        m = m + deficit * slack / total
-        if np.all(m >= a - ROUNDING_TOL) and np.all(m <= b + ROUNDING_TOL):
-            yield m
-
-
 def ibs_likelihood_bruteforce(
     obs: IntervalBeliefStructure,
     theta: IntervalProbabilities,
@@ -222,19 +203,18 @@ def ibs_likelihood_bruteforce(
 ) -> LikelihoodInterval:
     """Independent oracle for the inner program.
 
-    Enumerates every vertex of the mass polytope (plus a projected grid
-    refinement) against both extreme likelihood choices and returns the
-    best bounds found. Exact, because the objective is linear in the
-    masses once the likelihood endpoints are fixed.
+    Enumerates every vertex of the mass polytope against both extreme
+    likelihood choices and returns the best bounds found. Exact, because
+    the objective is linear in the masses once the likelihood endpoints
+    are fixed, so its optimum is at a vertex. ``grid_depth`` is accepted
+    and ignored: the grid it refined added no exactness.
     """
     if len(obs.entries) > 5:
         raise ValueError("brute force limited to 5 focal elements")
-    if grid_depth < 1:
-        raise ValueError("grid_depth must be positive")
     a, b, c_lo, c_hi = (np.asarray(v) for v in _obs_arrays(obs, theta))
     best_lo = np.inf
     best_hi = -np.inf
-    for m in itertools.chain(_mass_vertices(a, b), _grid_points(a, b, grid_depth)):
+    for m in _mass_vertices(a, b):
         best_lo = min(best_lo, float(m @ c_lo))
         best_hi = max(best_hi, float(m @ c_hi))
     if not np.isfinite(best_lo):

@@ -153,7 +153,7 @@ def check_oracle_equivalence(count=1000, seed=1234) -> CheckResult:
                                f"generated instance {i} is invalid: "
                                f"{'; '.join(report.violations)}")
         like, _, _ = ibs_likelihood(obs, theta)
-        brute = ibs_likelihood_bruteforce(obs, theta, grid_depth=2)
+        brute = ibs_likelihood_bruteforce(obs, theta)
         worst = max(
             worst,
             abs(like.value.lo - brute.value.lo),

@@ -167,6 +167,10 @@ class TestValidateCommand:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.obs")]) == 2
 
+    def test_directory_exits_two(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestEstimateCommand:
     def test_crisp_fixture_alpha_one(self, fixtures, capsys):
@@ -232,6 +236,11 @@ class TestEstimateCommand:
             if token.startswith("a=["):
                 lo, hi = token[3:-1].split(",")
                 assert f"[{float(lo):.4f}, {float(hi):.4f}]" in table
+
+    def test_report_to_directory_exits_two(self, fixtures, tmp_path, capsys):
+        assert main(["estimate", str(fixtures / "table1.obs"), "--alpha", "1",
+                     "--restarts", "2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_alpha_flag_exits_two(self, fixtures):
         assert main(["estimate", str(fixtures / "table1.obs"), "--alpha", "0.5"]) == 2

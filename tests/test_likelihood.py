@@ -161,7 +161,7 @@ class TestBruteForceOracle:
         for _ in range(300):
             obs, theta = random_instance(rng)
             like, _, _ = ibs_likelihood(obs, theta)
-            brute = ibs_likelihood_bruteforce(obs, theta, grid_depth=2)
+            brute = ibs_likelihood_bruteforce(obs, theta)
             assert like.value.lo == pytest.approx(brute.value.lo, abs=1e-9)
             assert like.value.hi == pytest.approx(brute.value.hi, abs=1e-9)
 
