@@ -34,14 +34,16 @@ def _parse_alphas(text: str) -> list[float]:
     return alphas
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_from(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,15 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("file", type=Path)
     p_est.add_argument("--alpha", type=_parse_alphas, default=[1.0, 2.0, 3.0, 4.0, 5.0],
                        help="comma-separated alpha values (default 1,2,3,4,5)")
-    p_est.add_argument("--seed", type=int, default=42)
-    p_est.add_argument("--restarts", type=_positive_int, default=64)
+    p_est.add_argument("--seed", type=_int_from(0), default=42)
+    p_est.add_argument("--restarts", type=_int_from(1), default=64)
     p_est.add_argument("--out", type=Path, default=None,
                        help="write the structured report to this file")
 
     p_ver = sub.add_parser("verify", help="reproduce the reference tables")
     p_ver.add_argument("--fixtures", type=Path, default=None)
-    p_ver.add_argument("--seed", type=int, default=42)
-    p_ver.add_argument("--restarts", type=_positive_int, default=64)
+    p_ver.add_argument("--seed", type=_int_from(0), default=42)
+    p_ver.add_argument("--restarts", type=_int_from(1), default=64)
     return parser
 
 

@@ -38,6 +38,8 @@ class EstimatorConfig:
         check_alpha(self.alpha)
         if self.restarts <= 0 or self.max_iterations_per_start <= 0:
             raise ValueError("restarts and iteration budget must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ class EstimationResult:
     rounds: int  # batched objective evaluations of the search, the first included
     evaluations: int  # rows those evaluated
     replayed: int  # sweeps taken from another restart's identical sweep
+    predicted: int  # sweeps polled with a predicted accept set
+    held: int  # predicted sweeps whose accepts were the predicted set
 
     @property
     def converged(self) -> bool:
@@ -133,31 +137,28 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     that improves the objective; a sweep gaining no more than
     ``_MIN_GAIN`` halves the step, until it falls below the minimum
     (converged) or the sweep budget is spent. The restarts run in rounds,
-    each one batched evaluation of windows of trials. A restart whose
-    last two sweeps accepted the same trials predicts that this sweep
-    accepts them too, as long as its accepts so far are their prefix. Its
-    round is the rest of its sweep, split after each predicted accept
-    still ahead: the first window polls from its current point, each
-    later one from the point the predicted accept before it reaches, and
-    the last runs to the end of the sweep. A restart that predicts
-    nothing has one window, and these windows together fill one kernel
-    block (see :func:`likelihood.block_rows`), which bounds the rows
-    polled past first improving trials. The windows are resolved in
-    order: each takes its first improving trial, the one a lone restart
-    would take; the first window where that trial is not the predicted
-    accept is the restart's last this round, and a window without one
-    moves the restart to its end at the same point. So the windows only
-    save rounds, and every restart's path is the one it polls alone.
+    each one batched evaluation of windows of trials. A restart predicts
+    that a sweep accepts its stable set (the last non-empty set two sweeps
+    in a row accepted; a halved step clears it) and splits the sweep after
+    each predicted accept ahead: a window polls from the point the accepts
+    before it reach. A sweep predicted to its end is followed in the same
+    round by the next sweeps from the predicted end point, as many as fit
+    the restart's share of a kernel block (split among the restarts that
+    poll) and its budget, up to one another restart has started. The round
+    is resolved sweep level by sweep level: each window takes its first
+    improving trial, as a lone restart would; a sweep leaves off at its
+    first window where that is not the predicted accept, and the restart
+    enters its next sweep only if this one ended as predicted and kept its
+    step. So predictions save rounds: each path is the one polled alone.
 
     A sweep's outcome depends only on its start point and step, so the
     first restart to start a sweep at a (point, step) pair polls it and
-    records where it ended; a restart that starts the same sweep later
-    replays that outcome without evaluating anything, and one that starts
-    it while the first is still polling waits for the outcome.
+    records where it ended; a restart that starts it later replays that
+    outcome and the recorded ones after it, evaluating nothing, and one
+    that starts it while the first is still polling waits.
 
-    Returns the final points, values, sweeps and converged flags, the
-    number of batched evaluations, the number of rows evaluated and the
-    number of sweeps replayed.
+    Returns the final points, values, sweeps and converged flags, and the
+    counters of :class:`EstimationResult`.
     """
     offsets = _trial_offsets(x0.shape[1] // 2)
     n_trials = len(offsets)
@@ -165,10 +166,9 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     index = np.arange(n_trials)
     x = x0.copy()
     f = _objective_batch(tables, x, alpha)
-    rounds, evaluations, replayed = 1, len(x), 0
-    # (start point, step) -> the packed outcome (end point, f, gain,
-    # accepted-trial flags), or None while the restart in ``polling``
-    # that owns the sweep polls it; one bytes value per entry
+    rounds, evaluations, replayed, predicted, held = 1, len(x), 0, 0, 0
+    # (start point, step) -> the packed outcome (end point, f, gain, accepted
+    # flags), or None while its owner, the restart in ``polling``, polls it
     memo, polling = {}, {}
     step = np.full(len(x), _INITIAL_STEP)
     sweeps = np.ones(len(x), dtype=int)
@@ -178,96 +178,152 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     running = np.ones(len(x), dtype=bool)
     accepted = np.zeros((len(x), n_trials), dtype=bool)  # in the current sweep
     last = np.zeros_like(accepted)  # in the last completed sweep
-    cycling = np.zeros(len(x), dtype=bool)  # the last two sweeps accepted alike
-    while running.any():
-        run = np.flatnonzero(running)
-        polls = running.copy()
-        for r in run[pos[run] == 0].tolist():
-            key = x[r].tobytes() + step[r].tobytes()
-            if key not in memo:
-                memo[key], polling[r] = None, key
-                continue
-            polls[r] = False
-            if memo[key] is not None:
-                outcome = np.frombuffer(memo[key], count=x.shape[1] + 2)
-                x[r], f[r], gain[r] = outcome[:-2], outcome[-2], outcome[-1]
-                accepted[r] = np.frombuffer(memo[key], dtype=bool, offset=outcome.nbytes)
-                pos[r] = n_trials
-                replayed += 1
-        poll = np.flatnonzero(polls)
-        if poll.size:
-            # a prediction holds while this sweep's accepts are its prefix
-            done = index < pos[poll, None]
-            holds = cycling[poll] & (accepted[poll] == (last[poll] & done)).all(axis=1)
-            # the predicted accepts still ahead, restart by restart, in sweep order
-            rows, cols = np.nonzero(last[poll] & ~done & holds[:, None])
-            n_win = np.bincount(rows, minlength=len(poll)) + 1
-            # ceil: the windows of restarts without a prediction fill a block
-            width = -(-block // max(np.count_nonzero(n_win == 1), 1))
-            # each restart's windows in sweep order, split after each predicted
-            # accept; a split sweep's last window runs to its end
-            owner = np.repeat(poll, n_win)
-            later = np.arange(len(rows)) + rows + 1  # the window after each split
-            cut = cols + 1
-            start = pos[owner]
-            start[later] = cut
-            stop = np.minimum(start + width, n_trials)
-            stop[later] = n_trials
-            stop[later - 1] = cut
-            # a later window polls from the point its predicted accept reaches
-            base = x[owner]
-            move = step[owner[later], None] * offsets[cols]
-            for _ in range(n_win.max() - 1):  # each pass fixes one more level
-                base[later] = np.clip(base[later - 1] + move, 0.0, 1.0)
-            trials = np.clip(base[:, None, :] + step[owner, None, None] * offsets, 0.0, 1.0)
-            # a trial clipped back onto its base point is skipped, not polled
-            todo = ((index >= start[:, None]) & (index < stop[:, None])
-                    & (trials != base[:, None, :]).any(axis=2))
-            values = np.full(todo.shape, -np.inf)
-            if todo.any():
-                values[todo] = _objective_batch(tables, trials[todo], alpha)
-                rounds += 1
-                evaluations += int(todo.sum())
-            ref = f[owner]  # the value each window starts from
-            ref[later] = values[later - 1, cols]  # what its predicted accept reached
-            better = values > ref[:, None]
-            hit = better.any(axis=1)
-            took = better.argmax(axis=1)
-            # a restart's last window this round: its first whose first
-            # improving trial is not the predicted one, or its final window
-            ends = np.cumsum(n_win)
-            broke = ~hit | (took + 1 < stop)
-            broke[ends - 1] = True
-            w = np.flatnonzero(broke)
-            w = w[np.searchsorted(w, ends - n_win)]  # one per restart, in poll order
-            acc = np.flatnonzero(hit & (np.arange(len(owner)) <= np.repeat(w, n_win)))
-            r, t = owner[acc], took[acc]
-            np.add.at(gain, r, values[acc, t] - ref[acc])  # in accept order
-            accepted[r, t] = True
-            moved, t = hit[w], took[w]
-            x[poll] = np.where(moved[:, None], trials[w, t], base[w])
-            f[poll] = np.where(moved, values[w, t], ref[w])
-            pos[poll] = np.where(moved, t + 1, stop[w])
+    stable = np.zeros_like(accepted)  # the predicted set
 
-        ended = run[pos[run] == n_trials]
+    def claim(r):
+        """The sweep restart ``r`` starts: ``r`` owns it unless another has."""
+        key = x[r].tobytes() + step[r].tobytes()
+        if key not in memo:
+            memo[key], polling[r] = None, key
+        return key
+
+    def end_sweeps(ended):
+        """Record and close the sweeps of ``ended``; return who starts another."""
+        if not ended.size:
+            return ended
         for r in ended.tolist():
             if r in polling:
                 memo[polling.pop(r)] = (x[r].tobytes() + f[r].tobytes()
                                         + gain[r].tobytes() + accepted[r].tobytes())
-        cycling[ended] = ((accepted[ended] == last[ended]).all(axis=1)
-                          & accepted[ended].any(axis=1))
-        last[ended] = accepted[ended]
+        done = accepted[ended]
+        twice = (done == last[ended]).all(axis=1) & done.any(axis=1)
+        stable[ended[twice]] = done[twice]
+        last[ended] = done
         accepted[ended] = False
         flat = ended[gain[ended] <= _MIN_GAIN]
         step[flat] /= 2.0
+        stable[flat] = False
         converged[flat[step[flat] < _MIN_STEP]] = True
-        running[ended[converged[ended]]] = False
-        running[ended[sweeps[ended] >= config.max_iterations_per_start]] = False
-        again = ended[running[ended]]
+        stops = converged[ended] | (sweeps[ended] >= config.max_iterations_per_start)
+        running[ended[stops]] = False
+        again = ended[~stops]
         sweeps[again] += 1
-        gain[again] = 0.0
-        pos[again] = 0
-    return x, f, sweeps, converged, rounds, evaluations, replayed
+        gain[again], pos[again] = 0.0, 0
+        return again
+
+    while running.any():
+        polls = running.copy()
+        starting = np.flatnonzero(running & (pos == 0))
+        while starting.size:  # replay recorded sweeps until one is not recorded
+            replays = []
+            for r in starting.tolist():
+                packed = memo[claim(r)]
+                polls[r] = r in polling  # it owns the sweep: no restart started it
+                if packed is not None:
+                    outcome = np.frombuffer(packed, count=x.shape[1] + 2)
+                    x[r], f[r], gain[r] = outcome[:-2], outcome[-2], outcome[-1]
+                    accepted[r] = np.frombuffer(packed, dtype=bool, offset=outcome.nbytes)
+                    replays.append(r)
+            replayed += len(replays)
+            starting = end_sweeps(np.array(replays, dtype=int))
+        poll = np.flatnonzero(polls)
+        if not poll.size:
+            continue
+        start = pos[poll]
+        ahead = stable[poll] & (index >= start[:, None])  # predicted accepts ahead
+        plain = ~ahead.any(axis=1)
+        # ceil: the windows of restarts without a predicted accept ahead fill a block
+        width = -(-block // max(np.count_nonzero(plain), 1))
+        stop = np.where(plain, np.minimum(start + width, n_trials), n_trials)
+        # a predicting restart also polls the next sweeps that fit its share and budget
+        fit = (-(-block // len(poll)) + start) // n_trials - 1
+        more = np.minimum(np.maximum(fit, 0) * stable[poll].any(axis=1),
+                          config.max_iterations_per_start - sweeps[poll])
+        # a segment per sweep, restart by restart: [start, stop), then whole sweeps
+        seg = np.repeat(poll, more + 1)
+        head = np.cumsum(more + 1) - more - 1
+        marks = stable[seg]
+        marks[head] = ahead
+        # each segment's windows in order, split after each predicted accept
+        rows, cols = np.nonzero(marks)
+        n_win = np.bincount(rows, minlength=len(seg)) + 1
+        owner = np.repeat(seg, n_win)
+        later = np.arange(len(rows)) + rows + 1  # the window after each split
+        ends = np.cumsum(n_win) - 1  # each segment's last window
+        firsts = ends - n_win + 1
+        w_start, w_stop = np.zeros_like(owner), np.full(len(owner), n_trials)
+        w_start[later] = w_stop[later - 1] = cols + 1
+        w_start[firsts[head]], w_stop[ends[head]] = start, stop
+        # a window polls from the point the predicted accepts before it in its
+        # restart's chain reach: ``reach[depth]``, the first ``depth`` of them
+        depth = np.cumsum(np.bincount(later, minlength=len(owner)))
+        depth -= np.repeat(depth[firsts[head]], np.add.reduceat(n_win, head))
+        split, by = depth[later], owner[later]
+        reach = np.repeat(x[None], depth.max() + 1, axis=0)
+        reach[split, by] = step[by, None] * offsets[cols]
+        for d in range(1, len(reach)):
+            reach[d] = np.clip(reach[d - 1] + reach[d], 0.0, 1.0)
+        base = reach[depth, owner]
+        # a chain stops before a sweep another restart has started
+        for i in np.flatnonzero(more).tolist():
+            for s in range(head[i] + 1, head[i] + more[i] + 1):
+                if base[firsts[s]].tobytes() + step[poll[i]].tobytes() in memo:
+                    w_stop[firsts[s]:ends[head[i] + more[i]] + 1] = 0  # polls nothing
+                    more[i] = s - head[i] - 1
+                    break
+        trials = np.clip(base[:, None, :] + step[owner, None, None] * offsets, 0.0, 1.0)
+        # a trial clipped back onto its base point is skipped, not polled
+        todo = ((index >= w_start[:, None]) & (index < w_stop[:, None])
+                & (trials != base[:, None, :]).any(axis=2))
+        values = np.full(todo.shape, -np.inf)
+        if todo.any():
+            values[todo] = _objective_batch(tables, trials[todo], alpha)
+            rounds += 1
+            evaluations += int(todo.sum())
+        # the value each window starts from: what the accepts before it reached
+        ref = np.repeat(f[None], len(reach), axis=0)
+        ref[split, by] = values[later - 1, cols]
+        ref = ref[depth, owner]
+        better = values > ref[:, None]
+        hit = better.any(axis=1)
+        took = better.argmax(axis=1)
+        # where each segment leaves off: its first window whose first improving
+        # trial is not the predicted accept, or else its last window
+        broke = hit.copy()
+        broke[later - 1] = ~hit[later - 1] | (took[later - 1] < cols)
+        broke[ends] = True
+        w = np.flatnonzero(broke)
+        w = w[np.searchsorted(w, firsts)]
+        acc = np.flatnonzero(hit & (np.arange(len(owner)) <= np.repeat(w, n_win)))
+        of = np.repeat(np.arange(len(seg)), n_win)  # each window's segment
+        gains = np.zeros(len(seg))
+        gains[head] = gain[poll]
+        np.add.at(gains, of[acc], values[acc, took[acc]] - ref[acc])  # in accept order
+        marks[:] = False
+        marks[of[acc], took[acc]] = True
+        marks[head] |= accepted[poll]
+        moved, t = hit[w], took[w]
+        seg_x = np.where(moved[:, None], trials[w, t], base[w])
+        seg_f = np.where(moved, values[w, t], ref[w])
+        seg_pos = np.where(moved, t + 1, w_stop[w])
+        # a restart goes on past a sweep that ended as predicted, step unchanged
+        on = (w == ends) & ~moved & (gains > _MIN_GAIN)
+        live = np.arange(len(poll))  # the restarts that reach this level
+        for j in range(more.max() + 1):
+            at = head[live] + j
+            r = seg[at]
+            for i in r.tolist() if j else ():
+                claim(i)  # unless another restart polls the same sweep
+            x[r], f[r], pos[r] = seg_x[at], seg_f[at], seg_pos[at]
+            gain[r], accepted[r] = gains[at], marks[at]
+            ended = r[pos[r] == n_trials]
+            guessed = stable[ended].any(axis=1)
+            predicted += int(guessed.sum())
+            held += int((guessed & (accepted[ended] == stable[ended]).all(axis=1)).sum())
+            end_sweeps(ended)
+            live = live[on[at] & (more[live] > j)]
+    return x, f, sweeps, converged, dict(rounds=rounds, evaluations=evaluations,
+                                         replayed=replayed, predicted=predicted, held=held)
 
 
 def _initial_point(restart: int, q: int, seed: int) -> list:
@@ -298,9 +354,8 @@ def estimate(
             )
     q = observations.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
-    x, f, sweeps, converged, rounds, evaluations, replayed = _pattern_search(
-        observations.tables, x0, config.alpha, config
-    )
+    x, f, sweeps, converged, counts = _pattern_search(
+        observations.tables, x0, config.alpha, config)
 
     best = int(np.argmax(f))  # max objective, first index wins ties
     lo, hi = _repair(x[best : best + 1])
@@ -326,9 +381,7 @@ def estimate(
         alpha=config.alpha,
         seed=config.seed,
         restarts=diagnostics,
-        rounds=rounds,
-        evaluations=evaluations,
-        replayed=replayed,
+        **counts,
     )
 
 

@@ -257,6 +257,12 @@ class TestEstimateCommand:
         assert main([command, *args, "--restarts", restarts]) == 2
         assert "--restarts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "verify"])
+    def test_negative_seed_exits_two(self, fixtures, command, capsys):
+        args = [str(fixtures / "table1.obs"), "--alpha", "1"] if command == "estimate" else []
+        assert main([command, *args, "--seed", "-1", "--restarts", "4"]) == 2
+        assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+
     def test_file_that_validates_also_estimates(self, tmp_path, capsys):
         # upper masses sum to 1 - 2e-10: inside the validation tolerance
         f = tmp_path / "near.obs"

@@ -72,8 +72,10 @@ class TestEstimate:
         a = estimate(table3, cfg)
         assert (a.rounds, a.evaluations) == (len(calls), sum(calls))
         assert a.replayed > 0
+        assert a.held <= a.predicted <= sum(r.sweeps for r in a.restarts)
         b = estimate(table3, cfg)
-        assert (a.rounds, a.evaluations, a.replayed) == (b.rounds, b.evaluations, b.replayed)
+        counters = ("rounds", "evaluations", "replayed", "predicted", "held")
+        assert [getattr(a, c) for c in counters] == [getattr(b, c) for c in counters]
 
     def test_converged_reports_the_winning_restart(self, table3):
         # a budget small enough that some restarts stop on it
@@ -202,3 +204,7 @@ class TestConfigValidation:
     def test_nonpositive_restarts(self):
         with pytest.raises(ValueError):
             EstimatorConfig(restarts=0)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            EstimatorConfig(seed=-1)

@@ -161,8 +161,18 @@ def test_mass_box_checked_against_validation_tolerance():
         obs_set(0.49).tables
 
 
+_paths = {}  # several tests compare against the same restart's path
+
+
 def sequential_search(tables, x0, alpha, config):
     """One restart, one point at a time: the accept-first pattern search."""
+    key = (id(tables), tuple(x0), alpha, config.max_iterations_per_start)
+    if key not in _paths or _paths[key][0] is not tables:
+        _paths[key] = tables, _sequential_search(tables, x0, alpha, config)
+    return _paths[key][1]
+
+
+def _sequential_search(tables, x0, alpha, config):
     def f_of(x):
         return _objective_batch(tables, np.array([x]), alpha)[0]
 
@@ -218,16 +228,47 @@ def test_cycling_restart_follows_sequential_path_in_fewer_rounds(
                              max_iterations_per_start=250)
     q = table5.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
-    x, f, sweeps, converged, rounds, evaluations, _ = estimator._pattern_search(
+    x, f, sweeps, converged, counts = estimator._pattern_search(
         table5.tables, x0, config.alpha, config)
     assert sweeps[2] == config.max_iterations_per_start and not converged[2]
     for r in range(config.restarts):
         ref = sequential_search(table5.tables, x0[r].tolist(), config.alpha, config)
         assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
-    assert (rounds, evaluations) == ((3_936, 13_091) if one_row_blocks else (430, 16_905))
+    rounds, evaluations = counts["rounds"], counts["evaluations"]
+    assert (rounds, evaluations) == ((1_669, 13_091) if one_row_blocks else (104, 15_838))
     if not one_row_blocks:
         # one round per accept takes three rounds for most of these sweeps
         assert rounds < 2 * config.max_iterations_per_start
+
+
+def lone_restart(table5, budget):
+    """Restart 2 of the test above, searched alone with the given budget:
+    its result, and whether it follows the one-point-at-a-time path."""
+    config = EstimatorConfig(alpha=2.0, seed=21, restarts=1,
+                             max_iterations_per_start=budget)
+    x0 = np.array([_initial_point(2, table5.frame.size, config.seed)])
+    x, f, sweeps, converged, counts = estimator._pattern_search(
+        table5.tables, x0, config.alpha, config)
+    ref = sequential_search(table5.tables, x0[0].tolist(), config.alpha, config)
+    return sweeps[0], converged[0], counts, (x[0].tolist(), f[0], sweeps[0], converged[0]) == ref
+
+
+def test_predicted_chain_crosses_sweep_ends(table5):
+    # a chain predicted to its sweep's end goes on into the next sweeps,
+    # up to 13 of them in one round
+    sweeps, converged, counts, same_path = lone_restart(table5, 250)
+    assert same_path and sweeps == 250 and not converged
+    assert counts["rounds"] < 200  # a round per sweep or more without chains
+    assert counts["held"] <= counts["predicted"] <= sweeps
+
+
+def test_budget_end_inside_a_chain(table5):
+    # from sweep 33 on, one round polls the restart's predicted sweeps up
+    # to sweep 40, so a budget that ends inside that chain costs no round
+    # more than one ending at sweep 33
+    sweeps, converged, counts, same_path = lone_restart(table5, 37)
+    assert same_path and sweeps == 37 and not converged
+    assert counts["rounds"] == lone_restart(table5, 33)[2]["rounds"]
 
 
 def test_restarts_do_not_depend_on_restart_count(table3):
@@ -242,14 +283,14 @@ def test_duplicate_restart_replays_every_sweep(table5):
     one = estimator._pattern_search(table5.tables, x0, config.alpha, config)
     two = estimator._pattern_search(table5.tables, np.repeat(x0, 2, axis=0),
                                     config.alpha, config)
-    x, f, sweeps, converged, rounds, evaluations, replayed = two
+    x, f, sweeps, converged, counts = two
     assert x[0].tolist() == x[1].tolist() == one[0][0].tolist()
     assert (f[0], sweeps[0], converged[0]) == (f[1], sweeps[1], converged[1])
     assert (f[0], sweeps[0], converged[0]) == (one[1][0], one[2][0], one[3][0])
     # the copy waits for each sweep and replays it in a round without rows
-    assert replayed == sweeps[1]
-    assert evaluations == one[5] + 1
-    assert rounds == one[4]
+    assert counts["replayed"] == sweeps[1]
+    assert counts["evaluations"] == one[4]["evaluations"] + 1
+    assert counts["rounds"] == one[4]["rounds"]
 
 
 def test_replayed_sweeps_keep_each_restart_path_and_budget(table5):
@@ -259,14 +300,14 @@ def test_replayed_sweeps_keep_each_restart_path_and_budget(table5):
                              max_iterations_per_start=20)
     q = table5.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
-    x, f, sweeps, converged, _, evaluations, replayed = estimator._pattern_search(
+    x, f, sweeps, converged, counts = estimator._pattern_search(
         table5.tables, x0, config.alpha, config)
-    assert converged.any() and not converged.all() and replayed > 0
+    assert converged.any() and not converged.all() and counts["replayed"] > 0
     for r in range(config.restarts):
         ref = sequential_search(table5.tables, x0[r].tolist(), config.alpha, config)
         assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
     # 14,983 rows without replaying
-    assert evaluations <= 10_500
+    assert counts["evaluations"] <= 10_500
 
 
 def test_windows_keep_paths_and_cut_rows(table5, monkeypatch):
@@ -281,5 +322,5 @@ def test_windows_keep_paths_and_cut_rows(table5, monkeypatch):
     for got, want in zip(windowed[1:4], whole[1:4]):
         assert got.tolist() == want.tolist()
     # 48,292 rows when every round submits the rest of each sweep
-    assert whole[5] > 45_000
-    assert windowed[5] < 25_000
+    assert whole[4]["evaluations"] > 45_000
+    assert windowed[4]["evaluations"] < 25_000
