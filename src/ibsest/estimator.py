@@ -62,8 +62,8 @@ class EstimationResult:
     restarts: tuple[RestartDiagnostics, ...] = field(repr=False)
     rounds: int  # batched objective evaluations of the search, the first included
     evaluations: int  # rows those evaluated
-    replayed: int  # sweeps taken from another restart's identical sweep
-    predicted: int  # sweeps polled with a predicted accept set
+    replayed: int  # sweeps taken whole from the sweep memo, a restart's own chain's too
+    predicted: int  # sweeps that ended, polled or replayed, with a predicted accept set
     held: int  # predicted sweeps whose accepts were the predicted set
 
     @property
@@ -144,18 +144,19 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     before it reach. A sweep predicted to its end is followed in the same
     round by the next sweeps from the predicted end point, as many as fit
     the restart's share of a kernel block (split among the restarts that
-    poll) and its budget, up to one another restart has started. The round
-    is resolved sweep level by sweep level: each window takes its first
-    improving trial, as a lone restart would; a sweep leaves off at its
-    first window where that is not the predicted accept, and the restart
-    enters its next sweep only if this one ended as predicted and kept its
-    step. So predictions save rounds: each path is the one polled alone.
+    poll) and its budget, up to a sweep the memo already holds. Each
+    window takes its first improving trial, as a lone restart would; a
+    sweep leaves off at its first window where that is not the predicted
+    accept, and a restart takes only the sweep it is in. So predictions
+    save rounds: each path is the one polled alone.
 
-    A sweep's outcome depends only on its start point and step, so the
-    first restart to start a sweep at a (point, step) pair polls it and
-    records where it ended; a restart that starts it later replays that
-    outcome and the recorded ones after it, evaluating nothing, and one
-    that starts it while the first is still polling waits.
+    A sweep's outcome depends only on its start point and step. A memo
+    keyed by that pair records each sweep a restart ends, and each later
+    sweep a chain polled, whole or as far as it got. A restart that starts
+    a sweep recorded whole replays it, evaluating nothing, and goes on to
+    the next; one that starts a sweep left part-way takes it over and polls
+    on; one that starts a sweep another restart polls waits. The key alone
+    decides what a restart takes.
 
     Returns the final points, values, sweeps and converged flags, and the
     counters of :class:`EstimationResult`.
@@ -167,8 +168,8 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     x = x0.copy()
     f = _objective_batch(tables, x, alpha)
     rounds, evaluations, replayed, predicted, held = 1, len(x), 0, 0, 0
-    # (start point, step) -> the packed outcome (end point, f, gain, accepted
-    # flags), or None while its owner, the restart in ``polling``, polls it
+    # (start point, step) -> the packed state the sweep reached (point, f, gain,
+    # next trial, accepted flags), or None while its owner in ``polling`` polls it
     memo, polling = {}, {}
     step = np.full(len(x), _INITIAL_STEP)
     sweeps = np.ones(len(x), dtype=int)
@@ -180,22 +181,15 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     last = np.zeros_like(accepted)  # in the last completed sweep
     stable = np.zeros_like(accepted)  # the predicted set
 
-    def claim(r):
-        """The sweep restart ``r`` starts: ``r`` owns it unless another has."""
-        key = x[r].tobytes() + step[r].tobytes()
-        if key not in memo:
-            memo[key], polling[r] = None, key
-        return key
-
     def end_sweeps(ended):
-        """Record and close the sweeps of ``ended``; return who starts another."""
+        """Close the sweeps of ``ended``; return who starts another."""
+        nonlocal predicted, held
         if not ended.size:
             return ended
-        for r in ended.tolist():
-            if r in polling:
-                memo[polling.pop(r)] = (x[r].tobytes() + f[r].tobytes()
-                                        + gain[r].tobytes() + accepted[r].tobytes())
-        done = accepted[ended]
+        done, guess = accepted[ended], stable[ended]
+        guessed = guess.any(axis=1)
+        predicted += int(guessed.sum())
+        held += int((guessed & (done == guess).all(axis=1)).sum())
         twice = (done == last[ended]).all(axis=1) & done.any(axis=1)
         stable[ended[twice]] = done[twice]
         last[ended] = done
@@ -212,21 +206,23 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         return again
 
     while running.any():
-        polls = running.copy()
         starting = np.flatnonzero(running & (pos == 0))
         while starting.size:  # replay recorded sweeps until one is not recorded
             replays = []
             for r in starting.tolist():
-                packed = memo[claim(r)]
-                polls[r] = r in polling  # it owns the sweep: no restart started it
-                if packed is not None:
-                    outcome = np.frombuffer(packed, count=x.shape[1] + 2)
-                    x[r], f[r], gain[r] = outcome[:-2], outcome[-2], outcome[-1]
-                    accepted[r] = np.frombuffer(packed, dtype=bool, offset=outcome.nbytes)
+                key = x[r].tobytes() + step[r].tobytes()
+                packed = memo.get(key, b"")
+                if packed:  # recorded, whole or left part-way
+                    saved = np.frombuffer(packed, count=x.shape[1] + 3)
+                    x[r], f[r], gain[r], pos[r] = saved[:-3], saved[-3], saved[-2], saved[-1]
+                    accepted[r] = np.frombuffer(packed, dtype=bool, offset=saved.nbytes)
+                if pos[r] == n_trials:
                     replays.append(r)
+                elif packed is not None:  # r owns the sweep and polls it from ``pos``
+                    memo[key], polling[r] = None, key
             replayed += len(replays)
             starting = end_sweeps(np.array(replays, dtype=int))
-        poll = np.flatnonzero(polls)
+        poll = np.array(sorted(polling), dtype=int)  # the owners poll; the rest wait
         if not poll.size:
             continue
         start = pos[poll]
@@ -264,13 +260,15 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         for d in range(1, len(reach)):
             reach[d] = np.clip(reach[d - 1] + reach[d], 0.0, 1.0)
         base = reach[depth, owner]
-        # a chain stops before a sweep another restart has started
+        # a chain stops before a sweep already in the memo, recorded or being polled
+        chained = []  # (start key, segment) of each later sweep a chain polls
         for i in np.flatnonzero(more).tolist():
             for s in range(head[i] + 1, head[i] + more[i] + 1):
-                if base[firsts[s]].tobytes() + step[poll[i]].tobytes() in memo:
+                key = base[firsts[s]].tobytes() + step[poll[i]].tobytes()
+                if key in memo:
                     w_stop[firsts[s]:ends[head[i] + more[i]] + 1] = 0  # polls nothing
-                    more[i] = s - head[i] - 1
                     break
+                chained.append((key, s))
         trials = np.clip(base[:, None, :] + step[owner, None, None] * offsets, 0.0, 1.0)
         # a trial clipped back onto its base point is skipped, not polled
         todo = ((index >= w_start[:, None]) & (index < w_stop[:, None])
@@ -280,9 +278,12 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
             values[todo] = _objective_batch(tables, trials[todo], alpha)
             rounds += 1
             evaluations += int(todo.sum())
-        # the value each window starts from: what the accepts before it reached
+        # the value each window starts from: what the accepts before it reached,
+        # where a skipped accept keeps the value of its base point
         ref = np.repeat(f[None], len(reach), axis=0)
         ref[split, by] = values[later - 1, cols]
+        for d in np.flatnonzero(np.isneginf(ref).any(axis=1)):
+            ref[d] = np.where(np.isneginf(ref[d]), ref[d - 1], ref[d])
         ref = ref[depth, owner]
         better = values > ref[:, None]
         hit = better.any(axis=1)
@@ -306,22 +307,16 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         seg_x = np.where(moved[:, None], trials[w, t], base[w])
         seg_f = np.where(moved, values[w, t], ref[w])
         seg_pos = np.where(moved, t + 1, w_stop[w])
-        # a restart goes on past a sweep that ended as predicted, step unchanged
-        on = (w == ends) & ~moved & (gains > _MIN_GAIN)
-        live = np.arange(len(poll))  # the restarts that reach this level
-        for j in range(more.max() + 1):
-            at = head[live] + j
-            r = seg[at]
-            for i in r.tolist() if j else ():
-                claim(i)  # unless another restart polls the same sweep
-            x[r], f[r], pos[r] = seg_x[at], seg_f[at], seg_pos[at]
-            gain[r], accepted[r] = gains[at], marks[at]
-            ended = r[pos[r] == n_trials]
-            guessed = stable[ended].any(axis=1)
-            predicted += int(guessed.sum())
-            held += int((guessed & (accepted[ended] == stable[ended]).all(axis=1)).sum())
-            end_sweeps(ended)
-            live = live[on[at] & (more[live] > j)]
+        x[poll], f[poll], pos[poll] = seg_x[head], seg_f[head], seg_pos[head]
+        gain[poll], accepted[poll] = gains[head], marks[head]
+        finished = pos[poll] == n_trials
+        ended = poll[finished]
+        # record each ended sweep under its owner's key, each later chain sweep under its start
+        records = [(polling.pop(r), s) for r, s in zip(ended.tolist(), head[finished].tolist())]
+        state = np.column_stack([seg_x, seg_f, gains, seg_pos])
+        for key, s in records + chained:
+            memo[key] = state[s].tobytes() + marks[s].tobytes()
+        end_sweeps(ended)
     return x, f, sweeps, converged, dict(rounds=rounds, evaluations=evaluations,
                                          replayed=replayed, predicted=predicted, held=held)
 

@@ -131,9 +131,22 @@ def parse_observation_text(text: str) -> ObservationSet:
     return ObservationSet(frame, tuple(observations))
 
 
+def _read_text(path) -> str:
+    """The file's UTF-8 text; a byte that does not decode is a located parse error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; it sits on the line after their last break
+        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ObservationParseError(
+            line_no, f"not UTF-8 text: byte 0x{data[exc.start]:02x} does not decode"
+        ) from None
+
+
 def parse_observation_file(path) -> ObservationSet:
-    with open(path, encoding="utf-8") as fh:
-        return parse_observation_text(fh.read())
+    return parse_observation_text(_read_text(path))
 
 
 def _format_mass(lower: float, upper: float) -> str:
@@ -237,8 +250,7 @@ def parse_expected_text(text: str) -> list[ExpectedRow]:
 
 
 def parse_expected_file(path) -> list[ExpectedRow]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_expected_text(fh.read())
+    return parse_expected_text(_read_text(path))
 
 
 # ---------------------------------------------------------------------------

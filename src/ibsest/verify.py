@@ -80,16 +80,18 @@ def check_objective_dominance(
     rows = {row.alpha: row for row in parse_expected_file(fixtures / expected_name)}
     results = []
     for alpha in alphas:
+        name = f"dominance-{obs_name.split('.')[0]}-alpha{alpha:g}"
+        if alpha not in rows:
+            results.append(
+                CheckResult(name, False, f"{expected_name} has no row alpha={alpha:g}")
+            )
+            continue
         cfg = EstimatorConfig(alpha=alpha, seed=seed, restarts=restarts)
         res = estimate(obs, cfg)
         ref = objective(rows[alpha].theta, obs, alpha)
         ok = res.objective >= ref - 1e-3
         results.append(
-            CheckResult(
-                f"dominance-{obs_name.split('.')[0]}-alpha{alpha:g}",
-                ok,
-                f"achieved {res.objective:.6f} vs reference {ref:.6f}",
-            )
+            CheckResult(name, ok, f"achieved {res.objective:.6f} vs reference {ref:.6f}")
         )
     return results
 

@@ -171,6 +171,14 @@ class TestValidateCommand:
         assert main(["validate", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["validate", "estimate"])
+    def test_non_utf8_byte_exits_two_with_its_line(self, tmp_path, command, capsys):
+        f = tmp_path / "latin1.obs"
+        f.write_bytes(VALID_TEXT.replace("{b} 0.2", "{b} 0.\xff2").encode("latin-1"))
+        assert main([command, str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: line 5: not UTF-8 text: byte 0xff does not decode\n")
+
 
 class TestEstimateCommand:
     def test_crisp_fixture_alpha_one(self, fixtures, capsys):
@@ -295,3 +303,16 @@ class TestVerifyCommand:
         assert len(lines) == 11
         for line in lines:
             assert re.fullmatch(r"(PASS|FAIL) [\w.-]+: .+ \(\d+\.\d\d s\)", line), line
+
+    def test_missing_reference_row_fails_by_name(self, fixtures, tmp_path, capsys):
+        import shutil
+
+        work = tmp_path / "fx"
+        shutil.copytree(fixtures, work)
+        expected = work / "table4.expected"
+        expected.write_text(expected.read_text().replace("row: alpha=1\n", "row: alpha=30\n"))
+        code = main(["verify", "--fixtures", str(work), "--restarts", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL dominance-table3-alpha1: table4.expected has no row alpha=1 (" in out
+        assert len(out.splitlines()) == 11  # the other checks still ran

@@ -1,6 +1,7 @@
 """The batched objective kernel and the lockstep search against their
 scalar references."""
 
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -269,6 +270,44 @@ def test_budget_end_inside_a_chain(table5):
     sweeps, converged, counts, same_path = lone_restart(table5, 37)
     assert same_path and sweeps == 37 and not converged
     assert counts["rounds"] == lone_restart(table5, 33)[2]["rounds"]
+
+
+def test_chain_stops_before_a_sweep_an_earlier_chain_polled(table5):
+    # A straggler cell: a chain records every sweep it polls, also those past
+    # a sweep that broke its prediction, and a later chain stops before them
+    # (restart 15 polls 33 rows in round 132, not 549). Dropping those
+    # sweeps took 50,092 rows in the same 202 rounds, with the same restart
+    # diagnostics. Restarts 6, 11 and 15 take sweeps from chain records.
+    config = EstimatorConfig(alpha=2.0, seed=16, restarts=16,
+                             max_iterations_per_start=250)
+    x0 = np.array([_initial_point(r, table5.frame.size, config.seed)
+                   for r in range(config.restarts)])
+    x, f, sweeps, converged, counts = estimator._pattern_search(
+        table5.tables, x0, config.alpha, config)
+    assert (counts["rounds"], counts["evaluations"]) == (202, 48_028)
+    for r in (6, 11, 15):
+        ref = sequential_search(table5.tables, x0[r].tolist(), config.alpha, config)
+        assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
+    paths = repr([(r, f[r].hex(), int(sweeps[r]), bool(converged[r]))
+                  for r in range(config.restarts)])
+    assert hashlib.sha256(paths.encode()).hexdigest() == (
+        "811f3e754151d3b160eacb1b5faea878a1e89421bd459c895fe1aa0643ae9374")
+
+
+@pytest.mark.parametrize("name, alpha, seed", [("table5", 1.0, 3), ("table3", 2.0, 31)])
+def test_chain_past_a_predicted_accept_clipped_onto_its_base(name, alpha, seed, request):
+    # A predicted move reaches the edge of the box (in table5, transfer 45
+    # takes intervals 2 and 3 to [0, 0] and [1, 1] in sweep 5). In a chain's
+    # next sweep it clips back onto its base point and is skipped, so the
+    # chain's sweeps after it start from that point and its value.
+    observations = request.getfixturevalue(name)
+    config = EstimatorConfig(alpha=alpha, seed=seed, restarts=1,
+                             max_iterations_per_start=250)
+    x0 = np.array([_initial_point(2, observations.frame.size, seed)])
+    x, f, sweeps, converged, _ = estimator._pattern_search(
+        observations.tables, x0, alpha, config)
+    ref = sequential_search(observations.tables, x0[0].tolist(), alpha, config)
+    assert (x[0].tolist(), f[0], sweeps[0], converged[0]) == ref
 
 
 def test_restarts_do_not_depend_on_restart_count(table3):
