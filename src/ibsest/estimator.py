@@ -137,18 +137,18 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     that improves the objective; a sweep gaining no more than
     ``_MIN_GAIN`` halves the step, until it falls below the minimum
     (converged) or the sweep budget is spent. The restarts run in rounds,
-    each one batched evaluation of windows of trials. A restart predicts
+    each one batched evaluation of a flat list of trials. A restart predicts
     that a sweep accepts its stable set (the last non-empty set two sweeps
-    in a row accepted; a halved step clears it) and splits the sweep after
-    each predicted accept ahead: a window polls from the point the accepts
-    before it reach. A sweep predicted to its end is followed in the same
-    round by the next sweeps from the predicted end point, as many as fit
-    the restart's share of a kernel block (split among the restarts that
-    poll) and its budget, up to a sweep the memo already holds. Each
-    window takes its first improving trial, as a lone restart would; a
-    sweep leaves off at its first window where that is not the predicted
-    accept, and a restart takes only the sweep it is in. So predictions
-    save rounds: each path is the one polled alone.
+    in a row accepted; a halved step clears it): each trial is polled from
+    the point the predicted accepts before it reach, and must beat the value
+    they reached. A sweep predicted to its end is followed in the same round
+    by the next sweeps from the predicted end point, as many as fit the
+    restart's share of a kernel block (split among the restarts that poll)
+    and its budget, up to a sweep the memo holds or the round plans. A sweep
+    leaves off at its first surprise: an improving trial that was not
+    predicted (taken, as a lone restart would) or a predicted accept that
+    does not improve (skipped). A restart takes only the sweep it is in. So
+    predictions save rounds: each path is the one polled alone.
 
     A sweep's outcome depends only on its start point and step. A memo
     keyed by that pair records each sweep a restart ends, and each later
@@ -164,7 +164,6 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     offsets = _trial_offsets(x0.shape[1] // 2)
     n_trials = len(offsets)
     block = block_rows(tables)
-    index = np.arange(n_trials)
     x = x0.copy()
     f = _objective_batch(tables, x, alpha)
     rounds, evaluations, replayed, predicted, held = 1, len(x), 0, 0, 0
@@ -226,96 +225,88 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         if not poll.size:
             continue
         start = pos[poll]
-        ahead = stable[poll] & (index >= start[:, None])  # predicted accepts ahead
+        ahead = stable[poll] & (np.arange(n_trials) >= start[:, None])  # predicted accepts ahead
         plain = ~ahead.any(axis=1)
-        # ceil: the windows of restarts without a predicted accept ahead fill a block
+        # ceil: the trials of restarts without a predicted accept ahead fill a block
         width = -(-block // max(np.count_nonzero(plain), 1))
         stop = np.where(plain, np.minimum(start + width, n_trials), n_trials)
         # a predicting restart also polls the next sweeps that fit its share and budget
         fit = (-(-block // len(poll)) + start) // n_trials - 1
         more = np.minimum(np.maximum(fit, 0) * stable[poll].any(axis=1),
                           config.max_iterations_per_start - sweeps[poll])
-        # a segment per sweep, restart by restart: [start, stop), then whole sweeps
+        # a segment per sweep, restart by restart: [start, stop), then whole sweeps;
+        # the round's trials are the segments' trials in order, segment s holding
+        # trials edge[s]:edge[s + 1]
         seg = np.repeat(poll, more + 1)
         head = np.cumsum(more + 1) - more - 1
-        marks = stable[seg]
-        marks[head] = ahead
-        # each segment's windows in order, split after each predicted accept
-        rows, cols = np.nonzero(marks)
-        n_win = np.bincount(rows, minlength=len(seg)) + 1
-        owner = np.repeat(seg, n_win)
-        later = np.arange(len(rows)) + rows + 1  # the window after each split
-        ends = np.cumsum(n_win) - 1  # each segment's last window
-        firsts = ends - n_win + 1
-        w_start, w_stop = np.zeros_like(owner), np.full(len(owner), n_trials)
-        w_start[later] = w_stop[later - 1] = cols + 1
-        w_start[firsts[head]], w_stop[ends[head]] = start, stop
-        # a window polls from the point the predicted accepts before it in its
+        first, span = np.zeros_like(seg), np.full(len(seg), n_trials)
+        first[head], span[head] = start, stop - start
+        edge = np.concatenate([[0], np.cumsum(span)])
+        sid = np.repeat(np.arange(len(seg)), span)  # each trial's segment
+        t = np.arange(edge[-1]) - np.repeat(edge[:-1] - first, span)  # its trial index
+        who = seg[sid]  # its restart
+        guess = stable[who, t]  # whether it is a predicted accept
+        # a trial polls from the point the predicted accepts before it in its
         # restart's chain reach: ``reach[depth]``, the first ``depth`` of them
-        depth = np.cumsum(np.bincount(later, minlength=len(owner)))
-        depth -= np.repeat(depth[firsts[head]], np.add.reduceat(n_win, head))
-        split, by = depth[later], owner[later]
-        reach = np.repeat(x[None], depth.max() + 1, axis=0)
-        reach[split, by] = step[by, None] * offsets[cols]
+        depth = np.cumsum(guess) - guess
+        depth -= np.repeat(depth[edge[head]], np.add.reduceat(span, head))
+        g = np.flatnonzero(guess)
+        reach = np.repeat(x[None], (depth + guess).max() + 1, axis=0)
+        reach[depth[g] + 1, who[g]] = step[who[g], None] * offsets[t[g]]
         for d in range(1, len(reach)):
             reach[d] = np.clip(reach[d - 1] + reach[d], 0.0, 1.0)
-        base = reach[depth, owner]
-        # a chain stops before a sweep already in the memo, recorded or being polled
-        chained = []  # (start key, segment) of each later sweep a chain polls
+        base = reach[depth, who]
+        trials = np.clip(base + step[who, None] * offsets[t], 0.0, 1.0)
+        # a trial clipped back onto its base point is skipped, not polled
+        todo = (trials != base).any(axis=1)
+        # a chain stops before a sweep in the memo (recorded or being polled) or planned
+        chained = {}  # start key -> segment of each later sweep a chain polls
         for i in np.flatnonzero(more).tolist():
             for s in range(head[i] + 1, head[i] + more[i] + 1):
-                key = base[firsts[s]].tobytes() + step[poll[i]].tobytes()
-                if key in memo:
-                    w_stop[firsts[s]:ends[head[i] + more[i]] + 1] = 0  # polls nothing
+                key = base[edge[s]].tobytes() + step[poll[i]].tobytes()
+                if key in memo or key in chained:
+                    todo[edge[s]:edge[head[i] + more[i] + 1]] = False  # polls nothing
                     break
-                chained.append((key, s))
-        trials = np.clip(base[:, None, :] + step[owner, None, None] * offsets, 0.0, 1.0)
-        # a trial clipped back onto its base point is skipped, not polled
-        todo = ((index >= w_start[:, None]) & (index < w_stop[:, None])
-                & (trials != base[:, None, :]).any(axis=2))
-        values = np.full(todo.shape, -np.inf)
+                chained[key] = s
+        values = np.full(len(t), -np.inf)
         if todo.any():
             values[todo] = _objective_batch(tables, trials[todo], alpha)
             rounds += 1
             evaluations += int(todo.sum())
-        # the value each window starts from: what the accepts before it reached,
-        # where a skipped accept keeps the value of its base point
+        # the value each trial must beat: what the predicted accepts before it
+        # reached, where a skipped accept keeps the value of its base point
         ref = np.repeat(f[None], len(reach), axis=0)
-        ref[split, by] = values[later - 1, cols]
+        ref[depth[g] + 1, who[g]] = values[g]
         for d in np.flatnonzero(np.isneginf(ref).any(axis=1)):
             ref[d] = np.where(np.isneginf(ref[d]), ref[d - 1], ref[d])
-        ref = ref[depth, owner]
-        better = values > ref[:, None]
-        hit = better.any(axis=1)
-        took = better.argmax(axis=1)
-        # where each segment leaves off: its first window whose first improving
-        # trial is not the predicted accept, or else its last window
-        broke = hit.copy()
-        broke[later - 1] = ~hit[later - 1] | (took[later - 1] < cols)
-        broke[ends] = True
-        w = np.flatnonzero(broke)
-        w = w[np.searchsorted(w, firsts)]
-        acc = np.flatnonzero(hit & (np.arange(len(owner)) <= np.repeat(w, n_win)))
-        of = np.repeat(np.arange(len(seg)), n_win)  # each window's segment
+        ref = ref[depth, who]
+        better = values > ref
+        # a segment leaves off at its first surprise, an improving trial that was
+        # not predicted (taken) or a predicted accept that does not improve
+        # (skipped), or else at its last trial
+        surprise = better != guess
+        surprise[edge[1:] - 1] = True
+        cut = np.flatnonzero(surprise)
+        cut = cut[np.searchsorted(cut, edge[:-1])]
+        acc = np.flatnonzero(better & (np.arange(len(t)) <= np.repeat(cut, span)))
         gains = np.zeros(len(seg))
         gains[head] = gain[poll]
-        np.add.at(gains, of[acc], values[acc, took[acc]] - ref[acc])  # in accept order
-        marks[:] = False
-        marks[of[acc], took[acc]] = True
-        marks[head] |= accepted[poll]
-        moved, t = hit[w], took[w]
-        seg_x = np.where(moved[:, None], trials[w, t], base[w])
-        seg_f = np.where(moved, values[w, t], ref[w])
-        seg_pos = np.where(moved, t + 1, w_stop[w])
+        np.add.at(gains, sid[acc], values[acc] - ref[acc])  # in accept order
+        done = np.zeros((len(seg), n_trials), dtype=bool)
+        done[sid[acc], t[acc]] = True
+        done[head] |= accepted[poll]
+        seg_x = np.where(better[cut, None], trials[cut], base[cut])
+        seg_f = np.where(better[cut], values[cut], ref[cut])
+        seg_pos = t[cut] + 1
         x[poll], f[poll], pos[poll] = seg_x[head], seg_f[head], seg_pos[head]
-        gain[poll], accepted[poll] = gains[head], marks[head]
+        gain[poll], accepted[poll] = gains[head], done[head]
         finished = pos[poll] == n_trials
         ended = poll[finished]
         # record each ended sweep under its owner's key, each later chain sweep under its start
         records = [(polling.pop(r), s) for r, s in zip(ended.tolist(), head[finished].tolist())]
         state = np.column_stack([seg_x, seg_f, gains, seg_pos])
-        for key, s in records + chained:
-            memo[key] = state[s].tobytes() + marks[s].tobytes()
+        for key, s in [*records, *chained.items()]:
+            memo[key] = state[s].tobytes() + done[s].tobytes()
         end_sweeps(ended)
     return x, f, sweeps, converged, dict(rounds=rounds, evaluations=evaluations,
                                          replayed=replayed, predicted=predicted, held=held)

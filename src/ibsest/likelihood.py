@@ -257,8 +257,6 @@ def likelihood_bounds(
     the batch is evaluated in blocks of rows within ``_BLOCK_BYTES``.
     """
     rows = block_rows(tables)
-    if len(lo) <= rows:
-        return _block_bounds(tables, lo, hi)
     l_lo, l_hi = np.empty(len(lo)), np.empty(len(lo))
     for i in range(0, len(lo), rows):
         l_lo[i : i + rows], l_hi[i : i + rows] = _block_bounds(

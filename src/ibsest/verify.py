@@ -19,7 +19,7 @@ from .belief import (
 )
 from .estimator import EstimatorConfig, estimate, objective
 from .intervalprob import IntervalProbabilities, ignorance
-from .io import parse_expected_file, parse_observation_file
+from .io import ObservationParseError, parse_expected_file, parse_observation_file
 from .likelihood import ibs_likelihood, ibs_likelihood_bruteforce
 
 
@@ -34,15 +34,29 @@ def fixture_dir() -> Path:
     return Path(resources.files("ibsest") / "fixtures")
 
 
+class _UnparsedFixture(Exception):
+    """A fixture that does not parse; the message names the file."""
+
+
+def _parse(parse, path: Path):
+    try:
+        return parse(path)
+    except ObservationParseError as exc:
+        raise _UnparsedFixture(f"{path.name}: {exc}") from None
+
+
 def _estimate(path, alpha, seed, restarts):
-    obs = parse_observation_file(path)
+    obs = _parse(parse_observation_file, path)
     cfg = EstimatorConfig(alpha=alpha, seed=seed, restarts=restarts)
     return obs, estimate(obs, cfg)
 
 
 def check_crisp_reproduction(fixtures: Path, seed=42, restarts=64) -> CheckResult:
     """Crisp two-hypothesis data must recover the 0.6/0.4 point estimate."""
-    _, res = _estimate(fixtures / "table1.obs", 1.0, seed, restarts)
+    try:
+        _, res = _estimate(fixtures / "table1.obs", 1.0, seed, restarts)
+    except _UnparsedFixture as exc:
+        return CheckResult("crisp-reproduction", False, str(exc))
     lo, hi = res.theta.lowers, res.theta.uppers
     ok = (
         0.595 <= lo[0] and hi[0] <= 0.605
@@ -57,7 +71,10 @@ def check_crisp_reproduction(fixtures: Path, seed=42, restarts=64) -> CheckResul
 
 def check_ignorance_column(fixtures: Path) -> CheckResult:
     """I^1 recomputed from each reference interval row matches the printed value."""
-    rows = parse_expected_file(fixtures / "table4.expected")
+    try:
+        rows = _parse(parse_expected_file, fixtures / "table4.expected")
+    except _UnparsedFixture as exc:
+        return CheckResult("ignorance-column", False, str(exc))
     worst = 0.0
     for row in rows:
         got = ignorance(row.theta, 1.0)
@@ -76,11 +93,14 @@ def check_objective_dominance(
     restarts=64,
 ) -> list[CheckResult]:
     """Achieved objective must match or beat the reference row's objective."""
-    obs = parse_observation_file(fixtures / obs_name)
-    rows = {row.alpha: row for row in parse_expected_file(fixtures / expected_name)}
+    names = [f"dominance-{obs_name.split('.')[0]}-alpha{alpha:g}" for alpha in alphas]
+    try:
+        obs = _parse(parse_observation_file, fixtures / obs_name)
+        rows = {row.alpha: row for row in _parse(parse_expected_file, fixtures / expected_name)}
+    except _UnparsedFixture as exc:
+        return [CheckResult(name, False, str(exc)) for name in names]
     results = []
-    for alpha in alphas:
-        name = f"dominance-{obs_name.split('.')[0]}-alpha{alpha:g}"
+    for alpha, name in zip(alphas, names):
         if alpha not in rows:
             results.append(
                 CheckResult(name, False, f"{expected_name} has no row alpha={alpha:g}")
@@ -98,7 +118,10 @@ def check_objective_dominance(
 
 def check_concentration(fixtures: Path, seed=42, restarts=64) -> CheckResult:
     """Alpha=1 on the trustworthiness data concentrates on VeryGood."""
-    obs, res = _estimate(fixtures / "table5.obs", 1.0, seed, restarts)
+    try:
+        obs, res = _estimate(fixtures / "table5.obs", 1.0, seed, restarts)
+    except _UnparsedFixture as exc:
+        return CheckResult("verygood-concentration", False, str(exc))
     i = obs.frame.index("VeryGood")
     others_ok = all(
         res.theta.uppers[j] <= 0.01 for j in range(obs.frame.size) if j != i

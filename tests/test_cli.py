@@ -304,6 +304,21 @@ class TestVerifyCommand:
         for line in lines:
             assert re.fullmatch(r"(PASS|FAIL) [\w.-]+: .+ \(\d+\.\d\d s\)", line), line
 
+    def test_unparsed_fixture_fails_by_name(self, fixtures, tmp_path, capsys):
+        import shutil
+
+        work = tmp_path / "fx"
+        shutil.copytree(fixtures, work)
+        with open(work / "table3.obs", "ab") as fh:
+            fh.write(b"\xff")
+        code = main(["verify", "--fixtures", str(work), "--restarts", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        for alpha in (1, 2, 3):
+            assert (f"FAIL dominance-table3-alpha{alpha}: table3.obs: line 24: "
+                    "not UTF-8 text: byte 0xff does not decode (") in out
+        assert len(out.splitlines()) == 11  # the other checks still ran
+
     def test_missing_reference_row_fails_by_name(self, fixtures, tmp_path, capsys):
         import shutil
 

@@ -221,7 +221,7 @@ def test_cycling_restart_follows_sequential_path_in_fewer_rounds(
     # Restart 2 uses its whole budget, accepting trials 15 and 48 in most
     # sweeps; the cycle breaks at trial 3 (before the first predicted
     # accept) and at trial 23 (between the two), so predictions fail
-    # mid-sweep. With one-row blocks a plain window holds one trial while
+    # mid-sweep. With one-row blocks a plain restart polls one trial while
     # a chain still polls the rest of its sweep, so rounds mix the two.
     if one_row_blocks:
         monkeypatch.setattr(estimator, "block_rows", lambda tables: 1)
@@ -299,15 +299,18 @@ def test_chain_past_a_predicted_accept_clipped_onto_its_base(name, alpha, seed, 
     # A predicted move reaches the edge of the box (in table5, transfer 45
     # takes intervals 2 and 3 to [0, 0] and [1, 1] in sweep 5). In a chain's
     # next sweep it clips back onto its base point and is skipped, so the
-    # chain's sweeps after it start from that point and its value.
+    # chain's sweeps after it start from that point and its value. When every
+    # predicted accept clips so, those sweeps share one start point, and the
+    # chain polls that sweep once: polling each took 1,513 and 1,468 rows.
     observations = request.getfixturevalue(name)
     config = EstimatorConfig(alpha=alpha, seed=seed, restarts=1,
                              max_iterations_per_start=250)
     x0 = np.array([_initial_point(2, observations.frame.size, seed)])
-    x, f, sweeps, converged, _ = estimator._pattern_search(
+    x, f, sweeps, converged, counts = estimator._pattern_search(
         observations.tables, x0, alpha, config)
     ref = sequential_search(observations.tables, x0[0].tolist(), alpha, config)
     assert (x[0].tolist(), f[0], sweeps[0], converged[0]) == ref
+    assert counts["evaluations"] == {"table5": 1_172, "table3": 688}[name]
 
 
 def test_restarts_do_not_depend_on_restart_count(table3):
@@ -349,17 +352,17 @@ def test_replayed_sweeps_keep_each_restart_path_and_budget(table5):
     assert counts["evaluations"] <= 10_500
 
 
-def test_windows_keep_paths_and_cut_rows(table5, monkeypatch):
+def test_block_sized_rounds_keep_paths_and_cut_rows(table5, monkeypatch):
     config = EstimatorConfig(alpha=1.0, seed=42, restarts=64)
     q = table5.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
-    windowed = estimator._pattern_search(table5.tables, x0, config.alpha, config)
+    blocked = estimator._pattern_search(table5.tables, x0, config.alpha, config)
     # a block this large gives every restart the rest of its sweep each round
     monkeypatch.setattr(estimator, "block_rows", lambda tables: 1 << 40)
     whole = estimator._pattern_search(table5.tables, x0, config.alpha, config)
-    assert windowed[0].tobytes() == whole[0].tobytes()
-    for got, want in zip(windowed[1:4], whole[1:4]):
+    assert blocked[0].tobytes() == whole[0].tobytes()
+    for got, want in zip(blocked[1:4], whole[1:4]):
         assert got.tolist() == want.tolist()
     # 48,292 rows when every round submits the rest of each sweep
     assert whole[4]["evaluations"] > 45_000
-    assert windowed[4]["evaluations"] < 25_000
+    assert blocked[4]["evaluations"] < 25_000
