@@ -11,6 +11,7 @@ lockstep rounds, each round one batched evaluation (see
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +37,10 @@ class EstimatorConfig:
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        for name in ("restarts", "max_iterations_per_start", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):  # numpy integers pass
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts <= 0 or self.max_iterations_per_start <= 0:
             raise ValueError("restarts and iteration budget must be positive")
         if self.seed < 0:
@@ -137,14 +142,15 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     that improves the objective; a sweep gaining no more than
     ``_MIN_GAIN`` halves the step, until it falls below the minimum
     (converged) or the sweep budget is spent. The restarts run in rounds,
-    each one batched evaluation of a flat list of trials. A restart predicts
-    that a sweep accepts its stable set (the last non-empty set two sweeps
-    in a row accepted; a halved step clears it): each trial is polled from
-    the point the predicted accepts before it reach, and must beat the value
-    they reached. A sweep predicted to its end is followed in the same round
-    by the next sweeps from the predicted end point, as many as fit the
-    restart's share of a kernel block (split among the restarts that poll)
-    and its budget, up to a sweep the memo holds or the round plans. A sweep
+    each one batched evaluation of a flat list of trials, about one kernel
+    block split into one share per polling restart. A restart predicts that
+    a sweep accepts its stable set (the last non-empty set two sweeps in a
+    row accepted; a halved step clears it): each trial is polled from the
+    point the predicted accepts before it reach, and must beat the value
+    they reached. A predicting restart polls to its sweep's end, then the
+    next sweeps from the predicted end point, as many as its share reaches
+    past that end and its budget holds, up to a sweep the memo holds or the
+    round plans; any other polls the next share of its sweep. A sweep
     leaves off at its first surprise: an improving trial that was not
     predicted (taken, as a lone restart would) or a predicted accept that
     does not improve (skipped). A restart takes only the sweep it is in. So
@@ -173,9 +179,7 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     step = np.full(len(x), _INITIAL_STEP)
     sweeps = np.ones(len(x), dtype=int)
     gain = np.zeros(len(x))
-    pos = np.zeros(len(x), dtype=int)  # next trial of the current sweep
-    converged = np.zeros(len(x), dtype=bool)
-    running = np.ones(len(x), dtype=bool)
+    pos = np.zeros(len(x), dtype=int)  # next trial of the current sweep, n_trials once stopped
     accepted = np.zeros((len(x), n_trials), dtype=bool)  # in the current sweep
     last = np.zeros_like(accepted)  # in the last completed sweep
     stable = np.zeros_like(accepted)  # the predicted set
@@ -196,18 +200,15 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         flat = ended[gain[ended] <= _MIN_GAIN]
         step[flat] /= 2.0
         stable[flat] = False
-        converged[flat[step[flat] < _MIN_STEP]] = True
-        stops = converged[ended] | (sweeps[ended] >= config.max_iterations_per_start)
-        running[ended[stops]] = False
+        stops = (step[ended] < _MIN_STEP) | (sweeps[ended] >= config.max_iterations_per_start)
         again = ended[~stops]
         sweeps[again] += 1
         gain[again], pos[again] = 0.0, 0
         return again
 
-    while running.any():
-        starting = np.flatnonzero(running & (pos == 0))
+    while (pos < n_trials).any():
+        starting = np.flatnonzero(pos == 0)
         while starting.size:  # replay recorded sweeps until one is not recorded
-            replays = []
             for r in starting.tolist():
                 key = x[r].tobytes() + step[r].tobytes()
                 packed = memo.get(key, b"")
@@ -215,24 +216,21 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
                     saved = np.frombuffer(packed, count=x.shape[1] + 3)
                     x[r], f[r], gain[r], pos[r] = saved[:-3], saved[-3], saved[-2], saved[-1]
                     accepted[r] = np.frombuffer(packed, dtype=bool, offset=saved.nbytes)
-                if pos[r] == n_trials:
-                    replays.append(r)
-                elif packed is not None:  # r owns the sweep and polls it from ``pos``
+                if pos[r] < n_trials and packed is not None:  # r owns the sweep, polls from pos
                     memo[key], polling[r] = None, key
+            replays = starting[pos[starting] == n_trials]
             replayed += len(replays)
-            starting = end_sweeps(np.array(replays, dtype=int))
+            starting = end_sweeps(replays)
         poll = np.array(sorted(polling), dtype=int)  # the owners poll; the rest wait
         if not poll.size:
             continue
+        # each polling restart's share of a kernel block (ceil); a predicting one
+        # polls to its sweep's end, then the next sweeps its share and budget hold
+        share = -(-block // len(poll))
         start = pos[poll]
-        ahead = stable[poll] & (np.arange(n_trials) >= start[:, None])  # predicted accepts ahead
-        plain = ~ahead.any(axis=1)
-        # ceil: the trials of restarts without a predicted accept ahead fill a block
-        width = -(-block // max(np.count_nonzero(plain), 1))
-        stop = np.where(plain, np.minimum(start + width, n_trials), n_trials)
-        # a predicting restart also polls the next sweeps that fit its share and budget
-        fit = (-(-block // len(poll)) + start) // n_trials - 1
-        more = np.minimum(np.maximum(fit, 0) * stable[poll].any(axis=1),
+        predicting = stable[poll].any(axis=1)
+        stop = np.where(predicting, n_trials, np.minimum(start + share, n_trials))
+        more = np.minimum(np.maximum((start + share) // n_trials - 1, 0) * predicting,
                           config.max_iterations_per_start - sweeps[poll])
         # a segment per sweep, restart by restart: [start, stop), then whole sweeps;
         # the round's trials are the segments' trials in order, segment s holding
@@ -308,8 +306,8 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         for key, s in [*records, *chained.items()]:
             memo[key] = state[s].tobytes() + done[s].tobytes()
         end_sweeps(ended)
-    return x, f, sweeps, converged, dict(rounds=rounds, evaluations=evaluations,
-                                         replayed=replayed, predicted=predicted, held=held)
+    return x, f, sweeps, step < _MIN_STEP, dict(
+        rounds=rounds, evaluations=evaluations, replayed=replayed, predicted=predicted, held=held)
 
 
 def _initial_point(restart: int, q: int, seed: int) -> list:

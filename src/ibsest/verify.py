@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -35,7 +37,7 @@ def fixture_dir() -> Path:
 
 
 class _UnparsedFixture(Exception):
-    """A fixture that does not parse; the message names the file."""
+    """A fixture that does not parse or cannot be read; the message names the file."""
 
 
 def _parse(parse, path: Path):
@@ -43,6 +45,8 @@ def _parse(parse, path: Path):
         return parse(path)
     except ObservationParseError as exc:
         raise _UnparsedFixture(f"{path.name}: {exc}") from None
+    except OSError as exc:
+        raise _UnparsedFixture(f"{path.name}: {exc.strerror or exc}") from None
 
 
 def _estimate(path, alpha, seed, restarts):
@@ -192,6 +196,9 @@ def check_oracle_equivalence(count=1000, seed=1234) -> CheckResult:
 def run_all(fixtures: Path | None = None, seed=42, restarts=64) -> Iterator[CheckResult]:
     """Run every check, yielding each result as its check completes."""
     fixtures = fixtures or fixture_dir()
+    if not fixtures.is_dir():  # each check would fail on it alike
+        code = errno.ENOTDIR if fixtures.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(fixtures))
     yield check_crisp_reproduction(fixtures, seed=seed, restarts=restarts)
     yield check_ignorance_column(fixtures)
     for alpha in (1.0, 2.0, 3.0):

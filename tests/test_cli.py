@@ -319,6 +319,30 @@ class TestVerifyCommand:
                     "not UTF-8 text: byte 0xff does not decode (") in out
         assert len(out.splitlines()) == 11  # the other checks still ran
 
+    def test_missing_fixture_fails_by_name(self, fixtures, tmp_path, capsys):
+        import shutil
+
+        work = tmp_path / "fx"
+        shutil.copytree(fixtures, work)
+        (work / "table3.obs").unlink()
+        code = main(["verify", "--fixtures", str(work), "--restarts", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        for alpha in (1, 2, 3):
+            assert (f"FAIL dominance-table3-alpha{alpha}: table3.obs: "
+                    "No such file or directory (") in out
+        assert len(out.splitlines()) == 11  # the other checks still ran
+
+    @pytest.mark.parametrize("kind", ["file", "missing"])
+    def test_fixtures_path_not_a_directory_is_named(self, fixtures, tmp_path, capsys, kind):
+        path = fixtures / "table1.obs" if kind == "file" else tmp_path / "absent"
+        code = main(["verify", "--fixtures", str(path), "--restarts", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"'{path}'" in captured.err
+        assert str(path / "table1.obs") not in captured.err  # the path, not a file in it
+
     def test_missing_reference_row_fails_by_name(self, fixtures, tmp_path, capsys):
         import shutil
 

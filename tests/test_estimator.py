@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -204,6 +207,19 @@ class TestConfigValidation:
     def test_nonpositive_restarts(self):
         with pytest.raises(ValueError):
             EstimatorConfig(restarts=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_iterations_per_start", 2.5), ("restarts", 2.5), ("seed", 1.5), ("restarts", "4")])
+    def test_non_integer_field_is_named(self, name, value):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EstimatorConfig(**{name: value})
+
+    def test_numpy_integer_fields_pass(self, table1):
+        config = EstimatorConfig(restarts=np.int64(2), max_iterations_per_start=np.int32(5),
+                                 seed=np.uint8(3))
+        res = estimate(table1, config)
+        assert len(res.restarts) == 2 and max(r.sweeps for r in res.restarts) <= 5
 
     def test_negative_seed_is_named(self):
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):

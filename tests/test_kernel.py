@@ -313,6 +313,16 @@ def test_chain_past_a_predicted_accept_clipped_onto_its_base(name, alpha, seed, 
     assert counts["evaluations"] == {"table5": 1_172, "table3": 688}[name]
 
 
+@pytest.mark.parametrize("name, counts", [
+    ("table1", (83, 46_760)), ("table3", (53, 13_848)), ("table5", (52, 20_301))])
+def test_paper_cell_rounds_and_rows(name, counts, request):
+    # the alpha=1 case studies as users run them: every restart converges in
+    # about 40 sweeps, so rounds stay full and the round plan sets the rows
+    result = estimate(request.getfixturevalue(name), EstimatorConfig(alpha=1.0, seed=42,
+                                                                     restarts=64))
+    assert (result.rounds, result.evaluations) == counts
+
+
 def test_restarts_do_not_depend_on_restart_count(table3):
     few = estimate(table3, EstimatorConfig(alpha=2.0, seed=42, restarts=16))
     many = estimate(table3, EstimatorConfig(alpha=2.0, seed=42, restarts=64))
