@@ -75,8 +75,9 @@ class IntervalBeliefStructure:
     """One observation: focal elements with interval masses [a_i, b_i].
 
     Structural problems (members outside the frame, duplicate focal
-    elements) are constructor errors; the numeric validity conditions are
-    checked by :func:`validate_ibs`, which reports rather than raises.
+    elements) are constructor errors. :func:`validate_ibs` reports the
+    numeric validity conditions; :func:`check_ibs`, which every likelihood
+    entry calls, raises on them.
     """
 
     frame: Frame
@@ -145,15 +146,13 @@ def box_violations(lowers, uppers) -> list[str]:
     return violations
 
 
-def mass_residual(lowers, uppers) -> float:
-    """Mass to distribute above the lower bounds: 1 - sum(lowers), at least 0.
-
-    Raises ValueError on a box :func:`validate_ibs` rejects.
-    """
-    violations = box_violations(lowers, uppers)
+def check_ibs(structure: IntervalBeliefStructure) -> None:
+    """The one check of an observation: ``ValueError`` naming it and what
+    :func:`validate_ibs` rejects, if anything."""
+    violations = validate_ibs(structure).violations
     if violations:
-        raise ValueError(f"infeasible mass box: {'; '.join(violations)}")
-    return max(1.0 - sum(lowers), 0.0)
+        raise ValueError(
+            f"invalid observation {structure.label!r}: {'; '.join(violations)}")
 
 
 def is_crisp(structure: IntervalBeliefStructure) -> bool:
@@ -199,7 +198,7 @@ class MassTables:
     members: np.ndarray  # (n, K, M) int
     a: np.ndarray  # (n, K)
     cap: np.ndarray  # (n, K)
-    residual: np.ndarray  # (n,): mass_residual of each box
+    residual: np.ndarray  # (n,): mass to distribute above the lower bounds
 
     @staticmethod
     def compile(observations: ObservationSet) -> MassTables:
@@ -210,10 +209,8 @@ class MassTables:
         members = np.full((len(obs), k, m), len(index), dtype=np.intp)
         a, cap, residual = np.zeros((len(obs), k)), np.zeros((len(obs), k)), []
         for i, o in enumerate(obs):
-            try:
-                residual.append(mass_residual(o.lowers, o.uppers))
-            except ValueError as exc:
-                raise ValueError(f"observation {o.label!r}: {exc}") from None
+            check_ibs(o)
+            residual.append(max(1.0 - sum(o.lowers), 0.0))
             for j, e in enumerate(o.entries):
                 members[i, j, : len(e.focal.members)] = [index[h] for h in e.focal.members]
                 a[i, j], cap[i, j] = e.lower, e.upper - e.lower

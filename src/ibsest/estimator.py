@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .belief import MassTables, ObservationSet, validate_ibs
+from .belief import MassTables, ObservationSet
 from .intervalprob import IntervalProbabilities, check_alpha, ignorance
 from .intervals import Interval, interval_distance
 from .likelihood import block_rows, joint_likelihood, likelihood_bounds, sum_in_order
@@ -39,7 +39,8 @@ class EstimatorConfig:
         check_alpha(self.alpha)
         for name in ("restarts", "max_iterations_per_start", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):  # numpy integers pass
+            # numpy integers pass; bool is an Integral but no count or seed
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts <= 0 or self.max_iterations_per_start <= 0:
             raise ValueError("restarts and iteration budget must be positive")
@@ -330,12 +331,6 @@ def estimate(
     broken by lowest restart index. A restart's search does not depend
     on the number of restarts.
     """
-    for obs in observations.observations:
-        report = validate_ibs(obs)
-        if not report.ok:
-            raise ValueError(
-                f"invalid observation {obs.label!r}: {'; '.join(report.violations)}"
-            )
     q = observations.frame.size
     x0 = np.array([_initial_point(r, q, config.seed) for r in range(config.restarts)])
     x, f, sweeps, converged, counts = _pattern_search(

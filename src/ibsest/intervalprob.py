@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,19 @@ def is_feasible(p: IntervalProbabilities) -> bool:
     return not box_violations(p.lowers, p.uppers)
 
 
+def check_feasible(p: IntervalProbabilities) -> None:
+    """The one check of a parameter: ``ValueError`` naming the violated
+    side of the box condition, if any."""
+    violations = box_violations(p.lowers, p.uppers)
+    if violations:
+        raise ValueError(f"infeasible interval probabilities: {'; '.join(violations)}")
+
+
 def check_alpha(alpha: float) -> float:
     """``alpha`` if it is a finite real >= 1, else ``ValueError``."""
-    if not (math.isfinite(alpha) and alpha >= 1.0):
-        raise ValueError(f"alpha must be a finite real >= 1, got {alpha}")
+    real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+    if not (real and math.isfinite(alpha) and alpha >= 1.0):
+        raise ValueError(f"alpha must be a finite real >= 1, got {alpha!r}")
     return alpha
 
 
@@ -65,8 +75,7 @@ def ignorance(p: IntervalProbabilities, alpha: float) -> float:
     0 for point-valued distributions, 1 when every interval is [0, 1].
     """
     check_alpha(alpha)
-    if not is_feasible(p):
-        raise ValueError("interval probabilities are infeasible")
+    check_feasible(p)
     widths = p.widths
     return sum(w**alpha for w in widths) / len(widths)
 
@@ -84,8 +93,7 @@ def sample_feasible_points(
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if not is_feasible(p):
-        raise ValueError("cannot sample from infeasible interval probabilities")
+    check_feasible(p)
     lo = np.asarray(p.lowers)
     hi = np.asarray(p.uppers)
     rng = np.random.default_rng(seed)

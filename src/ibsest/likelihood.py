@@ -23,9 +23,9 @@ from .belief import (
     IntervalBeliefStructure,
     MassTables,
     ObservationSet,
-    mass_residual,
+    check_ibs,
 )
-from .intervalprob import IntervalProbabilities, is_feasible
+from .intervalprob import IntervalProbabilities, check_feasible
 from .intervals import Interval
 
 # Byte budget of one kernel block: a batch is evaluated in blocks of rows
@@ -67,14 +67,17 @@ def singleton_likelihood(
     return LikelihoodInterval(theta.interval(h), source=f"singleton:{h}")
 
 
-def _subset_bounds(in_lo, in_hi, out_lo, out_hi):
-    lo = max(in_lo, 1.0 - out_hi)
-    hi = min(in_hi, 1.0 - out_lo)
-    if lo < -SUM_TOL or hi > 1.0 + SUM_TOL or lo > hi + SUM_TOL:
-        raise AssertionError(
-            f"subset likelihood [{lo}, {hi}] out of range; theta infeasible?"
-        )
-    return min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
+def _focal_bounds(idx, lo, hi):
+    """Subset-likelihood bounds of the focal element with member indices ``idx``.
+
+    Sums the members' bounds in the order of ``idx``, as the kernel
+    gathers them, so both paths round alike.
+    """
+    in_lo = sum(lo[i] for i in idx)
+    in_hi = sum(hi[i] for i in idx)
+    c_lo = max(in_lo, 1.0 - (sum(hi) - in_hi))
+    c_hi = min(in_hi, 1.0 - (sum(lo) - in_lo))
+    return min(max(c_lo, 0.0), 1.0), min(max(c_hi, 0.0), 1.0)
 
 
 def subset_likelihood(
@@ -85,14 +88,8 @@ def subset_likelihood(
     Lower bound: max(sum of member lowers, 1 - sum of non-member uppers);
     upper bound symmetrically. Tight over the credal set of theta.
     """
-    if not is_feasible(theta):
-        raise ValueError("theta must be feasible")
-    idx = set(f.indices(theta.frame))
-    in_lo = sum(theta.lowers[i] for i in idx)
-    in_hi = sum(theta.uppers[i] for i in idx)
-    out_lo = sum(theta.lowers) - in_lo
-    out_hi = sum(theta.uppers) - in_hi
-    lo, hi = _subset_bounds(in_lo, in_hi, out_lo, out_hi)
+    check_feasible(theta)
+    lo, hi = _focal_bounds(f.indices(theta.frame), theta.lowers, theta.uppers)
     return LikelihoodInterval(Interval(lo, hi), source=f"subset:{f}")
 
 
@@ -104,7 +101,7 @@ def _greedy_mass_value(a, b, c, maximize):
     at its upper bound. Ties break by ascending focal-element index.
     Returns (value, m).
     """
-    residual = mass_residual(a, b)
+    residual = max(1.0 - sum(a), 0.0)
     m = list(a)
     n = len(a)
     if maximize:
@@ -122,19 +119,12 @@ def _greedy_mass_value(a, b, c, maximize):
 
 
 def _obs_arrays(obs: IntervalBeliefStructure, theta: IntervalProbabilities):
-    """Per-focal subset-likelihood bounds plus the mass box."""
-    lo = theta.lowers
-    hi = theta.uppers
-    slo, shi = sum(lo), sum(hi)
-    c_lo = []
-    c_hi = []
-    for e in obs.entries:
-        idx = e.focal.indices(obs.frame)
-        in_lo = sum(lo[i] for i in idx)
-        in_hi = sum(hi[i] for i in idx)
-        cl, ch = _subset_bounds(in_lo, in_hi, slo - in_lo, shi - in_hi)
-        c_lo.append(cl)
-        c_hi.append(ch)
+    """Per-focal subset-likelihood bounds plus the mass box, both checked."""
+    check_ibs(obs)
+    check_feasible(theta)
+    lo, hi = theta.lowers, theta.uppers
+    bounds = [_focal_bounds(e.focal.indices(obs.frame), lo, hi) for e in obs.entries]
+    c_lo, c_hi = (list(c) for c in zip(*bounds))
     return list(obs.lowers), list(obs.uppers), c_lo, c_hi
 
 
@@ -176,8 +166,7 @@ def _mass_vertices(a, b):
     """Vertices of {a <= m <= b, sum(m) = 1}: at most one free coordinate.
 
     The free coordinate is admitted within ``SUM_TOL`` of its bounds and
-    clamped, as :func:`belief.mass_residual` treats a box ``validate_ibs``
-    accepts.
+    clamped, so every box ``validate_ibs`` accepts has a vertex.
     """
     n = len(a)
     seen = set()
@@ -217,8 +206,6 @@ def ibs_likelihood_bruteforce(
     for m in _mass_vertices(a, b):
         best_lo = min(best_lo, float(m @ c_lo))
         best_hi = max(best_hi, float(m @ c_hi))
-    if not np.isfinite(best_lo):
-        raise ValueError("infeasible mass box")
     return LikelihoodInterval(
         _bounds_interval(best_lo, best_hi), source=f"ibs-bruteforce:{obs.label}"
     )
@@ -301,8 +288,7 @@ def joint_likelihood(
     observations: ObservationSet, theta: IntervalProbabilities
 ) -> LikelihoodInterval:
     """Product, in observation order, of the per-observation likelihoods."""
-    if not is_feasible(theta):
-        raise ValueError("theta must be feasible")
+    check_feasible(theta)
     lo, hi = likelihood_bounds(
         observations.tables, np.array([theta.lowers]), np.array([theta.uppers])
     )

@@ -319,6 +319,27 @@ class TestVerifyCommand:
                     "not UTF-8 text: byte 0xff does not decode (") in out
         assert len(out.splitlines()) == 11  # the other checks still ran
 
+    @pytest.mark.parametrize("name, old, new, line", [
+        ("table4.expected", "  I1 0.1036\n", "",
+         "FAIL ignorance-column: table4.expected: row alpha=2: no I1 value ("),
+        ("table6.expected", "  Poor 0.0007, 0.0291\n", "  Poor 0.9, 0.95\n",
+         "FAIL dominance-table5-alpha2: table6.expected: row alpha=2: "
+         "infeasible interval probabilities: sum of lower masses "),
+    ], ids=["no-I1", "infeasible"])
+    def test_uncheckable_reference_row_fails_by_name(self, fixtures, tmp_path, capsys,
+                                                     name, old, new, line):
+        import shutil
+
+        work = tmp_path / "fx"
+        shutil.copytree(fixtures, work)
+        expected = work / name
+        expected.write_text(expected.read_text().replace(old, new, 1))
+        code = main(["verify", "--fixtures", str(work), "--restarts", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert line in out
+        assert len(out.splitlines()) == 11  # the other checks still ran
+
     def test_missing_fixture_fails_by_name(self, fixtures, tmp_path, capsys):
         import shutil
 

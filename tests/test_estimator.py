@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,28 @@ def test_every_validated_set_estimates(observations, alpha):
     assert objective(result.theta, observations, alpha) == result.objective
 
 
+@settings(max_examples=40, deadline=None)
+@given(observations=observation_sets(), data=st.data())
+def test_every_rejected_set_is_named(observations, data):
+    """One entry of a set is given arbitrary masses; whenever validation
+    rejects the set, the objective and the estimator raise naming it."""
+    obs = list(observations.observations)
+    k = data.draw(st.integers(0, len(obs) - 1))
+    entries = list(obs[k].entries)
+    j = data.draw(st.integers(0, len(entries) - 1))
+    mass = st.floats(-0.25, 1.25)
+    entries[j] = replace(entries[j], lower=data.draw(mass), upper=data.draw(mass))
+    obs[k] = replace(obs[k], entries=tuple(entries))
+    rejected = ObservationSet(observations.frame, tuple(obs))
+    assume(not all(validate_ibs(o).ok for o in rejected.observations))
+    q = rejected.frame.size
+    theta = IntervalProbabilities.from_point(rejected.frame, [1.0 / q] * q)
+    with pytest.raises(ValueError, match="^invalid observation "):
+        objective(theta, rejected, 1.0)
+    with pytest.raises(ValueError, match="^invalid observation "):
+        estimate(rejected, EstimatorConfig(restarts=1, max_iterations_per_start=1))
+
+
 class TestAlphaSweep:
     def test_rows_follow_input_order(self, table3):
         results = alpha_sweep(table3, [2.0, 1.0], EstimatorConfig(seed=3, **FAST))
@@ -199,9 +222,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EstimatorConfig(alpha=0.5)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), "2", None, True])
     def test_non_finite_alpha(self, alpha):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="alpha must be a finite real"):
             EstimatorConfig(alpha=alpha)
 
     def test_nonpositive_restarts(self):
@@ -209,7 +232,8 @@ class TestConfigValidation:
             EstimatorConfig(restarts=0)
 
     @pytest.mark.parametrize("name, value", [
-        ("max_iterations_per_start", 2.5), ("restarts", 2.5), ("seed", 1.5), ("restarts", "4")])
+        ("max_iterations_per_start", 2.5), ("restarts", 2.5), ("seed", 1.5), ("restarts", "4"),
+        ("restarts", True), ("seed", False), ("max_iterations_per_start", True)])
     def test_non_integer_field_is_named(self, name, value):
         message = f"{name} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -71,10 +71,10 @@ class TestIgnorance:
         with pytest.raises(ValueError):
             ignorance(p, 0.5)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), "2", None, True])
     def test_rejects_non_finite_alpha(self, alpha):
         p = IntervalProbabilities(H3, (0.1, 0.1, 0.1), (0.5, 0.5, 0.5))
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="alpha must be a finite real"):
             ignorance(p, alpha)
 
     def test_non_integer_alpha_accepted(self):

@@ -3,6 +3,7 @@ scalar references."""
 
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 
@@ -21,6 +22,7 @@ from ibsest import (
     ibs_likelihood,
     ibs_likelihood_bruteforce,
     joint_likelihood,
+    objective,
 )
 from ibsest import estimator, likelihood
 from ibsest.estimator import _initial_point, _objective_batch, _repair, _trial_offsets
@@ -158,8 +160,41 @@ def test_mass_box_checked_against_validation_tolerance():
     near = obs_set(0.4999999998)
     like, _, _ = ibs_likelihood(near.observations[0], theta)
     assert joint_likelihood(near, theta).value == like.value
-    with pytest.raises(ValueError, match="observation 'x': infeasible mass box"):
+    with pytest.raises(ValueError,
+                       match="invalid observation 'x': sum of upper masses 0.99 is below 1"):
         obs_set(0.49).tables
+
+
+# each likelihood entry, called with an observation set and a parameter
+ENTRIES = {
+    "objective": lambda s, theta: objective(theta, s, 1.0),
+    "joint_likelihood": lambda s, theta: joint_likelihood(s, theta),
+    "estimate": lambda s, theta: estimate(s, EstimatorConfig(restarts=1)),
+    "ibs_likelihood": lambda s, theta: ibs_likelihood(s.observations[0], theta),
+    "ibs_likelihood_bruteforce":
+        lambda s, theta: ibs_likelihood_bruteforce(s.observations[0], theta),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_entry_checks_each_mass_interval(entry):
+    frame = Frame(("a", "b"))
+    # the box holds (lowers sum to 1, uppers to 1.1); entry 0 has a > b
+    entries = (MassEntry(FocalElement.of(frame, ["a"]), 0.7, 0.2),
+               MassEntry(FocalElement.of(frame, ["b"]), 0.3, 0.9))
+    observations = ObservationSet(frame, (IntervalBeliefStructure(frame, entries, "x"),))
+    theta = IntervalProbabilities.from_point(frame, (0.5, 0.5))
+    message = "invalid observation 'x': entry 0 {a}: mass bounds [0.7, 0.2] violate"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ENTRIES[entry](observations, theta)
+
+
+@pytest.mark.parametrize("entry", [e for e in ENTRIES if e != "estimate"])
+def test_every_entry_names_the_infeasible_side(entry, table1):
+    theta = IntervalProbabilities(table1.frame, (0.7, 0.7), (0.8, 0.8))
+    with pytest.raises(ValueError,
+                       match="infeasible interval probabilities: sum of lower masses"):
+        ENTRIES[entry](table1, theta)
 
 
 _paths = {}  # several tests compare against the same restart's path
