@@ -188,17 +188,28 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class MassTables:
-    """Observations padded to K focal elements of M members each.
+    """Observations padded to K focal elements, over their distinct focal sets.
 
-    ``members[o, e]``: member hypothesis indices of focal element e of
-    observation o, padded with q, the index of a zero column. ``a`` and
-    ``cap`` (b - a) are 0 for padding entries, so these take no mass.
+    ``focal[d]``: the member hypothesis indices of distinct focal set d,
+    padded to M with q, the index of a zero column; the padding entries
+    share one all-q row. ``which[o, e]``: the row of ``focal`` holding
+    focal element e of observation o. ``a`` and ``cap`` (b - a) are 0 for
+    padding entries, so these take no mass. ``fill`` is False when no
+    observation has both mass to distribute and an entry with room for
+    it, so that every greedy take is 0.
+
+    ``likelihood.block_rows`` counts a block's budget in padded
+    (n, K, M) member rows, as if each entry had its own focal set; the
+    kernel gathers only the D <= n * K distinct ones, so its working set
+    stays below that count.
     """
 
-    members: np.ndarray  # (n, K, M) int
-    a: np.ndarray  # (n, K)
+    focal: np.ndarray  # (D, M) int
+    which: np.ndarray  # (n, K) int
+    a: np.ndarray  # (n, K), stored as 0.0 + lower: equal to a zero take plus lower
     cap: np.ndarray  # (n, K)
     residual: np.ndarray  # (n,): mass to distribute above the lower bounds
+    fill: bool
 
     @staticmethod
     def compile(observations: ObservationSet) -> MassTables:
@@ -213,5 +224,8 @@ class MassTables:
             residual.append(max(1.0 - sum(o.lowers), 0.0))
             for j, e in enumerate(o.entries):
                 members[i, j, : len(e.focal.members)] = [index[h] for h in e.focal.members]
-                a[i, j], cap[i, j] = e.lower, e.upper - e.lower
-        return MassTables(members, a, cap, np.array(residual))
+                a[i, j], cap[i, j] = 0.0 + e.lower, e.upper - e.lower
+        focal, which = np.unique(members.reshape(-1, m), axis=0, return_inverse=True)
+        residual = np.array(residual)
+        fill = bool(np.any((residual > 0) & np.any(cap > 0, axis=1)))
+        return MassTables(focal, which.reshape(len(obs), k), a, cap, residual, fill)

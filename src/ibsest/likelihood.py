@@ -33,7 +33,8 @@ from .intervals import Interval
 # batch. Twice the 2 MiB L2 cache of the two-core Xeon it was measured on:
 # at 2 and 3 MiB, glibc's malloc handed the freed heap back to the system
 # after most blocks and faulted it in again for the next (about 40k page
-# faults per paper-cells pass instead of about 10). The search's rounds are
+# faults per paper-cells pass instead of about 10); _block_bounds allocates
+# its fill arrays in one piece for the same reason. The search's rounds are
 # sized by the same block (see block_rows).
 _BLOCK_BYTES = 1 << 22
 
@@ -225,10 +226,14 @@ def sum_in_order(x: np.ndarray) -> np.ndarray:
 def block_rows(tables: MassTables) -> int:
     """Rows of one kernel block: as many as fit ``_BLOCK_BYTES``.
 
-    Per row, the (2, n, K, M) member gather and the eight (2, n, K) float
-    temporaries of the subset bounds, greedy fill, scatter and value.
+    The budget's row count: per row, a (2, n, K, M) member gather and
+    eight (2, n, K) float temporaries (n observations of at most K focal
+    elements of at most M members). The kernel gathers members once per
+    distinct focal set, (2, D, M) with D <= n * K, so its working set
+    stays below that figure.
     """
-    n_obs, k_max, m_max = tables.members.shape
+    n_obs, k_max = tables.which.shape
+    m_max = tables.focal.shape[1]
     return max(1, _BLOCK_BYTES // (16 * n_obs * k_max * (m_max + 8)))
 
 
@@ -237,11 +242,12 @@ def likelihood_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint likelihood bounds at each row of the (N, q) bound arrays.
 
-    Subset bounds, the greedy inner program of :func:`ibs_likelihood` for
-    every observation (a stable argsort, a K-step fill, a scatter back),
-    then the product over observations. The numpy operation count does
-    not grow with the number of observations; rows are independent, so
-    the batch is evaluated in blocks of rows within ``_BLOCK_BYTES``.
+    Subset bounds once per distinct focal set, the greedy inner program of
+    :func:`ibs_likelihood` for every observation (a stable argsort, a
+    K-step fill, a scatter back; skipped where no box leaves mass to
+    place), then the product over observations. The numpy operation count
+    does not grow with the number of observations; rows are independent,
+    so the batch is evaluated in blocks of rows within ``_BLOCK_BYTES``.
     """
     rows = block_rows(tables)
     l_lo, l_hi = np.empty(len(lo)), np.empty(len(lo))
@@ -257,27 +263,42 @@ def _block_bounds(tables: MassTables, lo: np.ndarray, hi: np.ndarray):
     theta = np.zeros((2, n_rows, q + 1))  # column q is the padding zero
     theta[0, :, :q] = lo
     theta[1, :, :q] = hi
-    s_lo, s_hi = sum_in_order(theta[:, :, :q])[:, :, None, None]
-    in_lo, in_hi = sum_in_order(theta[:, :, tables.members])  # each (N, n, K)
+    s_lo, s_hi = sum_in_order(theta[:, :, :q])[:, :, None]
+    in_lo, in_hi = sum_in_order(theta[:, :, tables.focal])  # each (N, D)
     c_lo = np.minimum(np.maximum(np.maximum(in_lo, 1.0 - (s_hi - in_hi)), 0.0), 1.0)
     c_hi = np.minimum(np.maximum(np.minimum(in_hi, 1.0 - (s_lo - in_lo)), 0.0), 1.0)
+    c = np.stack([c_lo, c_hi])[:, :, tables.which]  # (2, N, n, K)
 
-    # Greedy fill: ascending cost for the lower bound, descending for the
-    # upper; the stable sort breaks ties by focal-element index.
-    order = np.argsort(np.stack([c_lo, -c_hi]), axis=-1, kind="stable")
-    n_obs, k_max = tables.cap.shape
-    order = order.reshape(-1, n_obs, k_max)
-    cap = tables.cap[np.arange(n_obs)[:, None], order]
-    residual = tables.residual
-    take = np.empty_like(cap)
-    for k in range(k_max):
-        take[..., k] = np.maximum(np.minimum(cap[..., k], residual), 0.0)
-        residual = residual - take[..., k]
-    mass = np.empty_like(take)
-    mass[np.arange(len(order))[:, None, None], np.arange(n_obs)[:, None], order] = take
-    mass += tables.a
-    value = sum_in_order(mass.reshape(2, n_rows, n_obs, k_max) * np.stack([c_lo, c_hi]))
-    v_lo, v_hi = np.minimum(np.maximum(value, 0.0), 1.0)  # each (N, n)
+    if not tables.fill:  # no box has mass left to place, so every take is 0
+        c *= tables.a  # the terms mass * c, with mass = a
+    else:
+        # c and the fill's two (2, N, n, K) arrays share one allocation.
+        # glibc's malloc returns the top of its heap to the system once it
+        # exceeds twice the largest allocation freed so far; as separate
+        # arrays they crossed that after most blocks, and the next block
+        # faulted the pages in again (about 27k faults per paper-cells pass).
+        work = np.empty((3,) + c.shape)
+        work[0] = c
+        c, key, cap = work
+        # Greedy fill: ascending cost for the lower bound, descending for
+        # the upper; the stable sort breaks ties by focal-element index.
+        key[0] = c[0]
+        np.negative(c[1], out=key[1])
+        order = np.argsort(key, axis=-1, kind="stable")
+        n_obs, k_max = tables.cap.shape
+        order += k_max * np.arange(n_obs)[:, None]  # flat (n, K) indices
+        # the indices are in range; a mode other than "raise" writes cap unbuffered
+        np.take(tables.cap, order, out=cap, mode="clip")
+        residual = tables.residual
+        for k in range(k_max):  # caps and residuals are >= 0, so takes are too
+            np.minimum(cap[..., k], residual, out=cap[..., k])
+            residual = residual - cap[..., k]
+        order += (n_obs * k_max) * np.arange(2 * n_rows).reshape(2, n_rows, 1, 1)
+        mass = key  # the sort is done: scatter the takes over its keys
+        mass.ravel()[order.ravel()] = cap.ravel()
+        mass += tables.a
+        c *= mass
+    v_lo, v_hi = np.minimum(np.maximum(sum_in_order(c), 0.0), 1.0)  # each (N, n)
 
     crossed, mid = v_lo > v_hi, (v_lo + v_hi) / 2.0  # as in _bounds_interval
     v_lo, v_hi = np.where(crossed, mid, v_lo), np.where(crossed, mid, v_hi)

@@ -17,11 +17,12 @@ from .belief import (
     IntervalBeliefStructure,
     MassEntry,
     ObservationSet,
+    check_ibs,
     validate_ibs,
 )
 from .estimator import EstimatorConfig, estimate, objective
 from .intervalprob import IntervalProbabilities, ignorance
-from .io import ObservationParseError, parse_expected_file, parse_observation_file
+from .io import parse_expected_file, parse_observation_file
 from .likelihood import ibs_likelihood, ibs_likelihood_bruteforce
 
 
@@ -37,13 +38,18 @@ def fixture_dir() -> Path:
 
 
 class _UnparsedFixture(Exception):
-    """A fixture that does not parse or cannot be read; the message names the file."""
+    """A fixture that does not parse, cannot be read or holds an invalid
+    observation; the message names the file."""
 
 
 def _parse(parse, path: Path):
     try:
-        return parse(path)
-    except ObservationParseError as exc:
+        parsed = parse(path)
+        if isinstance(parsed, ObservationSet):
+            for obs in parsed.observations:
+                check_ibs(obs)
+        return parsed
+    except ValueError as exc:  # a parse error, or an invalid observation
         raise _UnparsedFixture(f"{path.name}: {exc}") from None
     except OSError as exc:
         raise _UnparsedFixture(f"{path.name}: {exc.strerror or exc}") from None

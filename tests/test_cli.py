@@ -319,6 +319,21 @@ class TestVerifyCommand:
                     "not UTF-8 text: byte 0xff does not decode (") in out
         assert len(out.splitlines()) == 11  # the other checks still ran
 
+    def test_invalid_observation_fails_by_name(self, fixtures, tmp_path, capsys):
+        import shutil
+
+        work = tmp_path / "fx"
+        shutil.copytree(fixtures, work)
+        obs = work / "table3.obs"
+        obs.write_text(obs.read_text().replace("{H1} 0.30, 0.40", "{H1} 0.70, 0.20", 1))
+        code = main(["verify", "--fixtures", str(work), "--restarts", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        for alpha in (1, 2, 3):
+            assert (f"FAIL dominance-table3-alpha{alpha}: table3.obs: invalid observation "
+                    "'1': entry 0 {H1}: mass bounds [0.7, 0.2] violate") in out
+        assert len(out.splitlines()) == 11  # the other checks still ran
+
     @pytest.mark.parametrize("name, old, new, line", [
         ("table4.expected", "  I1 0.1036\n", "",
          "FAIL ignorance-column: table4.expected: row alpha=2: no I1 value ("),

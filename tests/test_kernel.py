@@ -25,6 +25,7 @@ from ibsest import (
     objective,
 )
 from ibsest import estimator, likelihood
+from ibsest.belief import is_crisp
 from ibsest.estimator import _initial_point, _objective_batch, _repair, _trial_offsets
 from ibsest.likelihood import likelihood_bounds
 
@@ -37,8 +38,12 @@ def same(x, y):
     return x == y if SUM_IN_ORDER else x == pytest.approx(y, rel=1e-12, abs=1e-300)
 
 
-def random_observation_set(rng, q):
-    """Observations of 1-5 focal elements each, so most are padded."""
+def random_observation_set(rng, q, crisp=False):
+    """Observations of 1-5 focal elements each, so most are padded.
+
+    With ``crisp=True`` every observation is crisp (point masses summing
+    to 1); with ``crisp="mixed"`` each one is crisp on a coin flip.
+    """
     frame = Frame(tuple(f"h{i}" for i in range(q)))
     observations = []
     for k in range(int(rng.integers(1, 7))):
@@ -46,8 +51,11 @@ def random_observation_set(rng, q):
         masks = rng.choice(2**q - 1, size=size, replace=False) + 1
         point = rng.random(size) + 1e-3
         point /= point.sum()
-        a = point * rng.random(size)
-        b = point + (1.0 - point) * rng.random(size)
+        if crisp is True or (crisp == "mixed" and rng.random() < 0.5):
+            a = b = point
+        else:
+            a = point * rng.random(size)
+            b = point + (1.0 - point) * rng.random(size)
         entries = tuple(
             MassEntry(
                 FocalElement.of(frame, [frame.hypotheses[j] for j in range(q)
@@ -76,8 +84,11 @@ def scalar_objective(observations, lo, hi, alpha):
 @pytest.mark.parametrize("q", range(2, 11))
 def test_kernel_matches_scalar_path_and_oracle(q):
     rng = np.random.default_rng(100 + q)
-    for _ in range(4):
-        observations = random_observation_set(rng, q)
+    for crisp in (False,) * 4 + (True, "mixed", "mixed"):
+        observations = random_observation_set(rng, q, crisp)
+        # the kernel skips the greedy fill unless some box has mass to place
+        assert observations.tables.fill == (
+            not all(is_crisp(obs) for obs in observations.observations))
         x = rng.random((32, 2 * q))
         x[:4] = np.round(x[:4])  # corners: point and vacuous intervals
         alpha = float(rng.choice([1.0, 2.0, 3.0, 4.0, 5.0, float(rng.uniform(1, 5))]))
