@@ -82,7 +82,8 @@ def objective(
     theta: IntervalProbabilities, observations: ObservationSet, alpha: float
 ) -> float:
     """Distance of the joint likelihood interval from [0,0], minus ignorance."""
-    like = joint_likelihood(observations, theta)  # raises if theta is infeasible
+    # raises if theta is infeasible or over another frame
+    like = joint_likelihood(observations, theta)
     return interval_distance(like.value, _ZERO) - ignorance(theta, alpha)
 
 

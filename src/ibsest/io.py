@@ -9,7 +9,8 @@ observation:
       {H1, H2, H3} 0.10, 0.20
 
 A single mass number means a degenerate (crisp) mass. Blank lines and
-`#` comments are ignored.
+`#` comments are ignored. A parse error names the line at fault; one that
+shows only once a block is whole names the block's header line.
 """
 
 from __future__ import annotations
@@ -55,23 +56,18 @@ def _parse_mass(text: str, line_no: int) -> tuple[float, float]:
     raise ObservationParseError(line_no, f"mass needs 1 or 2 numbers, got {text!r}")
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) of each line left by stripping comments and blanks."""
-    frame_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("frame:"):
-            if frame_seen:
-                raise ObservationParseError(line_no, "frame declared twice")
-            frame_seen = True
-        yield line_no, line
+def _read_blocks(text: str, opener: str, outside) -> tuple[Frame, Iterator[tuple]]:
+    """The frame, which the first content line declares, and the blocks after it.
 
-
-def _read_frame(text: str) -> tuple[Frame, Iterator[tuple[int, str]]]:
-    """The frame, which the first content line declares, and the lines after it."""
-    lines = _content_lines(text)
+    A block is (header line number, header text after ``opener``, [(line
+    number, line), ...]), one per line that starts with ``opener``. Comments
+    and blanks are dropped. A content line before the first block raises
+    ``outside(line)``. Each block is yielded before the lines after it are
+    read, so its errors come before theirs.
+    """
+    lines = ((line_no, raw.split("#", 1)[0].strip())
+             for line_no, raw in enumerate(text.splitlines(), start=1))
+    lines = ((line_no, line) for line_no, line in lines if line)
     line_no, line = next(lines, (1, None))
     if line is None:
         raise ObservationParseError(line_no, "no frame declaration")
@@ -79,53 +75,59 @@ def _read_frame(text: str) -> tuple[Frame, Iterator[tuple[int, str]]]:
         raise ObservationParseError(line_no, "frame must be declared first")
     names = [n.strip() for n in line[len("frame:"):].split(",")]
     try:
-        return Frame(tuple(n for n in names if n)), lines
+        frame = Frame(tuple(n for n in names if n))
     except ValueError as exc:
         raise ObservationParseError(line_no, str(exc)) from None
 
+    def blocks() -> Iterator[tuple]:
+        block = None
+        for line_no, line in lines:
+            if line.startswith("frame:"):
+                raise ObservationParseError(line_no, "frame declared twice")
+            if line.startswith(opener):
+                if block is not None:
+                    yield block
+                block = (line_no, line[len(opener):].strip(), [])
+            elif block is None:
+                raise ObservationParseError(line_no, outside(line))
+            else:
+                block[2].append((line_no, line))
+        if block is not None:
+            yield block
+
+    return frame, blocks()
+
+
+def _mass_entry(frame: Frame, line_no: int, line: str) -> MassEntry:
+    """The mass entry of a ``{members} mass`` line."""
+    match = _ENTRY_RE.match(line)
+    if match is None:
+        raise ObservationParseError(line_no, f"unrecognized line {line!r}")
+    names = [n.strip() for n in match.group(1).split(",") if n.strip()]
+    if not names:
+        raise ObservationParseError(line_no, "empty focal element")
+    lower, upper = _parse_mass(match.group(2), line_no)
+    try:
+        return MassEntry(FocalElement.of(frame, names), lower, upper)
+    except (KeyError, ValueError) as exc:
+        raise ObservationParseError(line_no, str(exc))
+
 
 def parse_observation_text(text: str) -> ObservationSet:
-    frame, lines = _read_frame(text)
+    frame, blocks = _read_blocks(text, "obs:", lambda line: (
+        "mass entry outside an observation" if _ENTRY_RE.match(line)
+        else f"unrecognized line {line!r}"))
     observations: list[IntervalBeliefStructure] = []
-    label: str | None = None
-    entries: list[MassEntry] = []
-
-    def flush(line_no):
-        nonlocal label, entries
-        if label is None:
-            return
+    for line_no, label, lines in blocks:
+        if not label:
+            raise ObservationParseError(line_no, "observation label missing")
+        entries = tuple(_mass_entry(frame, n, line) for n, line in lines)
         if not entries:
             raise ObservationParseError(line_no, f"observation {label!r} has no entries")
         try:
-            observations.append(
-                IntervalBeliefStructure(frame, tuple(entries), label=label)
-            )
+            observations.append(IntervalBeliefStructure(frame, entries, label=label))
         except ValueError as exc:
             raise ObservationParseError(line_no, f"observation {label!r}: {exc}")
-        label, entries = None, []
-
-    for line_no, line in lines:
-        if line.startswith("obs:"):
-            flush(line_no)
-            label = line[len("obs:"):].strip()
-            if not label:
-                raise ObservationParseError(line_no, "observation label missing")
-            continue
-        match = _ENTRY_RE.match(line)
-        if match is None:
-            raise ObservationParseError(line_no, f"unrecognized line {line!r}")
-        if label is None:
-            raise ObservationParseError(line_no, "mass entry outside an observation")
-        names = [n.strip() for n in match.group(1).split(",") if n.strip()]
-        if not names:
-            raise ObservationParseError(line_no, "empty focal element")
-        lower, upper = _parse_mass(match.group(2), line_no)
-        try:
-            focal = FocalElement.of(frame, names)
-            entries.append(MassEntry(focal, lower, upper))
-        except (KeyError, ValueError) as exc:
-            raise ObservationParseError(line_no, str(exc))
-    flush(line_no=len(text.splitlines()) + 1)
     if not observations:
         raise ObservationParseError(1, "no observations")
     return ObservationSet(frame, tuple(observations))
@@ -204,48 +206,34 @@ class ExpectedRow:
 
 
 def parse_expected_text(text: str) -> list[ExpectedRow]:
-    frame, lines = _read_frame(text)
+    frame, blocks = _read_blocks(text, "row:", lambda line: "value outside a row")
     rows: list[ExpectedRow] = []
-    alpha: float | None = None
-    bounds: dict[str, tuple[float, float]] = {}
-    i1: float | None = None
-
-    def flush(line_no):
-        nonlocal alpha, bounds, i1
-        if alpha is None:
-            return
-        missing = [h for h in frame.hypotheses if h not in bounds]
+    for line_no, spec, lines in blocks:
+        if not spec.startswith("alpha="):
+            raise ObservationParseError(line_no, f"bad row header {spec!r}")
+        alpha = _parse_number(spec[len("alpha="):], "alpha", line_no)
+        if any(row.alpha == alpha for row in rows):
+            raise ObservationParseError(line_no, f"row alpha={alpha} given twice")
+        values = {}  # each hypothesis's (lower, upper), and the I1 value
+        for n, line in lines:
+            name, _, rest = line.partition(" ")
+            if name in values:
+                raise ObservationParseError(n, f"row alpha={alpha}: {name} given twice")
+            if name == "I1":
+                values[name] = _parse_number(rest, "I1 value", n)
+            elif name in frame.hypotheses:
+                values[name] = _parse_mass(rest, n)
+            else:
+                raise ObservationParseError(n, f"unknown hypothesis {name!r}")
+        missing = [h for h in frame.hypotheses if h not in values]
         if missing:
             raise ObservationParseError(line_no, f"row alpha={alpha} missing {missing}")
+        lowers, uppers = zip(*(values[h] for h in frame.hypotheses))
         try:
-            theta = IntervalProbabilities(
-                frame,
-                tuple(bounds[h][0] for h in frame.hypotheses),
-                tuple(bounds[h][1] for h in frame.hypotheses),
-            )
+            theta = IntervalProbabilities(frame, lowers, uppers)
         except ValueError as exc:
             raise ObservationParseError(line_no, f"row alpha={alpha}: {exc}") from None
-        rows.append(ExpectedRow(alpha, theta, i1))
-        alpha, bounds, i1 = None, {}, None
-
-    for line_no, line in lines:
-        if line.startswith("row:"):
-            flush(line_no)
-            spec = line[len("row:"):].strip()
-            if not spec.startswith("alpha="):
-                raise ObservationParseError(line_no, f"bad row header {spec!r}")
-            alpha = _parse_number(spec[len("alpha="):], "alpha", line_no)
-            continue
-        name, _, rest = line.partition(" ")
-        if alpha is None:
-            raise ObservationParseError(line_no, "value outside a row")
-        if name == "I1":
-            i1 = _parse_number(rest, "I1 value", line_no)
-        else:
-            if name not in frame.hypotheses:
-                raise ObservationParseError(line_no, f"unknown hypothesis {name!r}")
-            bounds[name] = _parse_mass(rest, line_no)
-    flush(line_no=len(text.splitlines()) + 1)
+        rows.append(ExpectedRow(alpha, theta, values.get("I1")))
     return rows
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .belief import (
     SUM_TOL,
     FocalElement,
+    Frame,
     IntervalBeliefStructure,
     MassTables,
     ObservationSet,
@@ -119,10 +120,19 @@ def _greedy_mass_value(a, b, c, maximize):
     return sum(m[i] * c[i] for i in range(n)), m
 
 
+def _check_theta(theta: IntervalProbabilities, frame: Frame) -> None:
+    """``check_feasible``, after checking that theta is over ``frame``: the
+    likelihoods read theta's bounds by position in the observations' frame."""
+    if theta.frame != frame:
+        raise ValueError(f"theta's frame ({', '.join(theta.frame.hypotheses)}) is not "
+                         f"the observations' frame ({', '.join(frame.hypotheses)})")
+    check_feasible(theta)
+
+
 def _obs_arrays(obs: IntervalBeliefStructure, theta: IntervalProbabilities):
     """Per-focal subset-likelihood bounds plus the mass box, both checked."""
     check_ibs(obs)
-    check_feasible(theta)
+    _check_theta(theta, obs.frame)
     lo, hi = theta.lowers, theta.uppers
     bounds = [_focal_bounds(e.focal.indices(obs.frame), lo, hi) for e in obs.entries]
     c_lo, c_hi = (list(c) for c in zip(*bounds))
@@ -309,7 +319,7 @@ def joint_likelihood(
     observations: ObservationSet, theta: IntervalProbabilities
 ) -> LikelihoodInterval:
     """Product, in observation order, of the per-observation likelihoods."""
-    check_feasible(theta)
+    _check_theta(theta, observations.frame)
     lo, hi = likelihood_bounds(
         observations.tables, np.array([theta.lowers]), np.array([theta.uppers])
     )

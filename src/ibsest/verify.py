@@ -38,8 +38,9 @@ def fixture_dir() -> Path:
 
 
 class _UnparsedFixture(Exception):
-    """A fixture that does not parse, cannot be read or holds an invalid
-    observation; the message names the file."""
+    """A fixture that does not parse, cannot be read, holds an invalid
+    observation or lacks a hypothesis its check reads; the message names
+    the file."""
 
 
 def _parse(parse, path: Path):
@@ -55,26 +56,31 @@ def _parse(parse, path: Path):
         raise _UnparsedFixture(f"{path.name}: {exc.strerror or exc}") from None
 
 
-def _estimate(path, alpha, seed, restarts):
+def _estimate(path, alpha, seed, restarts, names):
+    """The frame indices of ``names``, which the check reads, and the estimate."""
     obs = _parse(parse_observation_file, path)
+    missing = [n for n in names if n not in obs.frame.hypotheses]
+    if missing:
+        raise _UnparsedFixture(f"{path.name}: no hypothesis {missing[0]!r} in frame "
+                               f"({', '.join(obs.frame.hypotheses)})")
     cfg = EstimatorConfig(alpha=alpha, seed=seed, restarts=restarts)
-    return obs, estimate(obs, cfg)
+    return [obs.frame.index(n) for n in names], estimate(obs, cfg)
 
 
 def check_crisp_reproduction(fixtures: Path, seed=42, restarts=64) -> CheckResult:
     """Crisp two-hypothesis data must recover the 0.6/0.4 point estimate."""
     try:
-        _, res = _estimate(fixtures / "table1.obs", 1.0, seed, restarts)
+        (a, b), res = _estimate(fixtures / "table1.obs", 1.0, seed, restarts, ("a", "b"))
     except _UnparsedFixture as exc:
         return CheckResult("crisp-reproduction", False, str(exc))
     lo, hi = res.theta.lowers, res.theta.uppers
     ok = (
-        0.595 <= lo[0] and hi[0] <= 0.605
-        and 0.395 <= lo[1] and hi[1] <= 0.405
+        0.595 <= lo[a] and hi[a] <= 0.605
+        and 0.395 <= lo[b] and hi[b] <= 0.405
         and max(res.theta.widths) <= 1e-3
     )
     detail = (
-        f"p(a)=[{lo[0]:.6f},{hi[0]:.6f}] p(b)=[{lo[1]:.6f},{hi[1]:.6f}]"
+        f"p(a)=[{lo[a]:.6f},{hi[a]:.6f}] p(b)=[{lo[b]:.6f},{hi[b]:.6f}]"
     )
     return CheckResult("crisp-reproduction", ok, detail)
 
@@ -121,14 +127,14 @@ def check_objective_dominance(
                 CheckResult(name, False, f"{expected_name} has no row alpha={alpha:g}")
             )
             continue
-        cfg = EstimatorConfig(alpha=alpha, seed=seed, restarts=restarts)
-        res = estimate(obs, cfg)
-        try:  # estimate accepted obs, so only the reference row can be at fault
+        try:  # obs is checked, so the row is at fault, or its frame is not obs's
             ref = objective(rows[alpha].theta, obs, alpha)
         except ValueError as exc:
             results.append(
                 CheckResult(name, False, f"{expected_name}: row alpha={alpha:g}: {exc}"))
             continue
+        cfg = EstimatorConfig(alpha=alpha, seed=seed, restarts=restarts)
+        res = estimate(obs, cfg)
         ok = res.objective >= ref - 1e-3
         results.append(
             CheckResult(name, ok, f"achieved {res.objective:.6f} vs reference {ref:.6f}")
@@ -139,12 +145,11 @@ def check_objective_dominance(
 def check_concentration(fixtures: Path, seed=42, restarts=64) -> CheckResult:
     """Alpha=1 on the trustworthiness data concentrates on VeryGood."""
     try:
-        obs, res = _estimate(fixtures / "table5.obs", 1.0, seed, restarts)
+        (i,), res = _estimate(fixtures / "table5.obs", 1.0, seed, restarts, ["VeryGood"])
     except _UnparsedFixture as exc:
         return CheckResult("verygood-concentration", False, str(exc))
-    i = obs.frame.index("VeryGood")
     others_ok = all(
-        res.theta.uppers[j] <= 0.01 for j in range(obs.frame.size) if j != i
+        res.theta.uppers[j] <= 0.01 for j in range(res.theta.frame.size) if j != i
     )
     ok = (
         res.theta.lowers[i] >= 0.99

@@ -139,10 +139,51 @@ class TestParser:
         ("frame: a\n\nrow: alpha=x\n  a 1.0\n", 3),
         ("frame: a\nrow: alpha=1\n  a 1.0\n  I1 zz\n", 4),
         ("# reference\nframe: a, a\n", 2),
-        ("frame: a\nrow: alpha=1\n  a 0.9, 0.1\n", 4),
+        ("frame: a\nrow: alpha=1\n  a 0.9, 0.1\n", 2),
     ], ids=["bad-alpha", "bad-i1", "duplicate-hypothesis", "inverted-bounds"])
     def test_expected_file_errors_are_located(self, text, line):
         with pytest.raises(ObservationParseError, match=f"line {line}:"):
+            parse_expected_text(text)
+
+    # an error in a line names that line; an error found once a block is
+    # whole names the block's header line
+    @pytest.mark.parametrize("text, message", [
+        ("frame: a, b\n\nobs: 1\n  {a} 0.5\n  {a} 0.5\n",
+         "line 3: observation '1': duplicate focal element {a}"),
+        ("frame: a, b\n\nobs: 1\n  {a} 0.5\n  {a} 0.5\n\n# next\n\nobs: 2\n  {a} 1.0\n",
+         "line 3: observation '1': duplicate focal element {a}"),
+        ("frame: a, b\n\nobs: 1\n\nobs: 2\n  {a} 1.0\n",
+         "line 3: observation '1' has no entries"),
+        ("frame: a, b\n\nobs: 1\n  {a} 1.0\nobs: 2\n\n",
+         "line 5: observation '2' has no entries"),
+        ("frame: a, b\nfoo\nobs: 1\n  {a} 1.0\n", "line 2: unrecognized line 'foo'"),
+        ("frame: a, b\n  {a} 1.0\nobs: 1\n  {a} 1.0\n",
+         "line 2: mass entry outside an observation"),
+        ("frame: a\nobs: 1\n  { } 1.0\n", "line 3: empty focal element"),
+        ("frame: a\nobs: 1\n  {a} 1.0\n  {a, b} 0.5\nobs: 2\n  {a} 1.0\n",
+         "line 4: \"unknown hypothesis 'b'\""),
+    ], ids=["duplicate-focal-last", "duplicate-focal-followed", "empty-middle",
+            "empty-end", "unrecognized", "outside", "empty-focal", "unknown-hypothesis"])
+    def test_observation_errors_name_their_line(self, text, message):
+        with pytest.raises(ObservationParseError, match=f"^{re.escape(message)}$"):
+            parse_observation_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("frame: a, b\n\nrow: alpha=1\n  a 0.5\n  I1 0\n",
+         "line 3: row alpha=1.0 missing ['b']"),
+        ("frame: a, b\nrow: alpha=1\n  a 0.5\nrow: alpha=2\n  a 0.5\n  b 0.5\n",
+         "line 2: row alpha=1.0 missing ['b']"),
+        ("frame: a, b\nrow: alpha=1\n  a 0.5\n  b 0.5\n  a 0.4\n",
+         "line 5: row alpha=1.0: a given twice"),
+        ("frame: a, b\nrow: alpha=1\n  a 0.5\n  I1 0\n  b 0.5\n  I1 0\n",
+         "line 6: row alpha=1.0: I1 given twice"),
+        ("frame: a, b\nrow: alpha=1\n  a 0.5\n  b 0.5\nrow: alpha=1\n  a 0.4\n  b 0.6\n",
+         "line 5: row alpha=1.0 given twice"),
+        ("frame: a\n  a 1.0\nrow: alpha=1\n  a 1.0\n", "line 2: value outside a row"),
+    ], ids=["missing-last", "missing-followed", "hypothesis-twice", "i1-twice",
+            "alpha-twice", "outside"])
+    def test_reference_errors_name_their_line(self, text, message):
+        with pytest.raises(ObservationParseError, match=f"^{re.escape(message)}$"):
             parse_expected_text(text)
 
 
@@ -332,6 +373,43 @@ class TestVerifyCommand:
         for alpha in (1, 2, 3):
             assert (f"FAIL dominance-table3-alpha{alpha}: table3.obs: invalid observation "
                     "'1': entry 0 {H1}: mass bounds [0.7, 0.2] violate") in out
+        assert len(out.splitlines()) == 11  # the other checks still ran
+
+    def test_frame_mismatch_fails_by_name(self, fixtures, tmp_path, capsys):
+        import shutil
+
+        work = tmp_path / "fx"
+        shutil.copytree(fixtures, work)
+        obs = work / "table3.obs"
+        obs.write_text(obs.read_text().replace("H1", "X1"))
+        code = main(["verify", "--fixtures", str(work), "--restarts", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        for alpha in (1, 2, 3):
+            assert (f"FAIL dominance-table3-alpha{alpha}: table4.expected: row alpha={alpha}: "
+                    "theta's frame (H1, H2, H3) is not the observations' frame "
+                    "(X1, H2, H3) (") in out
+        assert len(out.splitlines()) == 11  # the other checks still ran
+
+    @pytest.mark.parametrize("name, old, new, line", [
+        ("table5.obs", "VeryGood", "Best",
+         "FAIL verygood-concentration: table5.obs: no hypothesis 'VeryGood' in "
+         "frame (Poor, Average, Good, Best, Excellent) ("),
+        ("table1.obs", "b", "c",
+         "FAIL crisp-reproduction: table1.obs: no hypothesis 'b' in frame (a, c) ("),
+    ], ids=["table5", "table1"])
+    def test_missing_hypothesis_fails_by_name(self, fixtures, tmp_path, capsys,
+                                              name, old, new, line):
+        import shutil
+
+        work = tmp_path / "fx"
+        shutil.copytree(fixtures, work)
+        obs = work / name
+        obs.write_text(re.sub(rf"\b{old}\b", new, obs.read_text()))
+        code = main(["verify", "--fixtures", str(work), "--restarts", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert line in out
         assert len(out.splitlines()) == 11  # the other checks still ran
 
     @pytest.mark.parametrize("name, old, new, line", [

@@ -208,6 +208,18 @@ def test_every_entry_names_the_infeasible_side(entry, table1):
         ENTRIES[entry](table1, theta)
 
 
+@pytest.mark.parametrize("entry", [e for e in ENTRIES if e != "estimate"])
+@pytest.mark.parametrize("names", [("x", "y", "z"), ("H1", "H2", "H3", "H4"), ("H1", "H2")],
+                         ids=["renamed", "longer", "shorter"])
+def test_every_entry_checks_the_frame(entry, names, table3):
+    # the kernel reads theta's bounds by position, so another frame must not score
+    theta = IntervalProbabilities.from_point(Frame(names), [1 / len(names)] * len(names))
+    message = (f"theta's frame ({', '.join(names)}) is not the observations' frame "
+               "(H1, H2, H3)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ENTRIES[entry](table3, theta)
+
+
 _paths = {}  # several tests compare against the same restart's path
 
 
