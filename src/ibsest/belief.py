@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .likelihood import Workspace
 
 SUM_TOL = 1e-9  # on sum(lower) <= 1 <= sum(upper), and on clamping within its reach
 ROUNDING_TOL = 1e-12  # on quantities that are exact up to rounding
@@ -186,6 +191,17 @@ class ObservationSet:
         return MassTables.compile(self)
 
 
+# Byte budget of one kernel block: a batch is evaluated in blocks of rows
+# whose working set fits it, so the kernel's memory does not grow with the
+# batch. Twice the 2 MiB L2 cache of the two-core Xeon it was measured on:
+# at 2 and 3 MiB, glibc's malloc handed the freed heap back to the system
+# after most blocks and faulted it in again for the next (about 40k page
+# faults per paper-cells pass instead of about 10). The search's rounds are
+# sized by the same block (see ``likelihood.block_rows``), and an order
+# table is compiled only if it fits the budget too.
+_BLOCK_BYTES = 1 << 22
+
+
 @dataclass(frozen=True)
 class MassTables:
     """Observations padded to K focal elements, over their distinct focal sets.
@@ -193,10 +209,10 @@ class MassTables:
     ``focal[d]``: the member hypothesis indices of distinct focal set d,
     padded to M with q, the index of a zero column; the padding entries
     share one all-q row. ``which[o, e]``: the row of ``focal`` holding
-    focal element e of observation o. ``a`` and ``cap`` (b - a) are 0 for
-    padding entries, so these take no mass. ``fill`` is False when no
-    observation has both mass to distribute and an entry with room for
-    it, so that every greedy take is 0.
+    focal element e of observation o, which has ``sizes[o]`` of them. ``a``
+    and ``cap`` (b - a) are 0 for padding entries, so these take no mass.
+    ``fill`` is False when no observation has both mass to distribute and
+    an entry with room for it, so that every greedy take is 0.
 
     ``likelihood.block_rows`` counts a block's budget in padded
     (n, K, M) member rows, as if each entry had its own focal set; the
@@ -209,7 +225,11 @@ class MassTables:
     a: np.ndarray  # (n, K), stored as 0.0 + lower: equal to a zero take plus lower
     cap: np.ndarray  # (n, K)
     residual: np.ndarray  # (n,): mass to distribute above the lower bounds
+    sizes: np.ndarray  # (n,) int
     fill: bool
+    # a search's kernel state (``likelihood.Workspace``), allocated once for
+    # all its rounds; None for one-off evaluations
+    work: Workspace | None = field(default=None, repr=False)
 
     @staticmethod
     def compile(observations: ObservationSet) -> MassTables:
@@ -228,4 +248,49 @@ class MassTables:
         focal, which = np.unique(members.reshape(-1, m), axis=0, return_inverse=True)
         residual = np.array(residual)
         fill = bool(np.any((residual > 0) & np.any(cap > 0, axis=1)))
-        return MassTables(focal, which.reshape(len(obs), k), a, cap, residual, fill)
+        sizes = np.array([len(o.entries) for o in obs])
+        return MassTables(focal, which.reshape(len(obs), k), a, cap, residual, sizes, fill)
+
+    @cached_property
+    def orders(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The order table, ``(masses, offset)``, or None.
+
+        The greedy fill's masses depend on the parameter only through the
+        order of an observation's focal likelihoods. So ``masses`` (K,
+        sum_o K_o!) holds, for each observation o and each order of its
+        K_o = ``sizes[o]`` entries, the masses ``a + take`` of the fill in
+        that order (padding entries 0), computed with the kernel's float
+        operations: ``np.minimum(cap, residual)``, then ``residual -
+        take``, then ``take + a``. Column ``offset[o] + code`` (``offset``
+        is (n, 1, 1)) holds the order with code ``sum_{i<j} [key_j <
+        key_i] * j!`` (key = c for the lower bound, -c for the upper; a tie
+        goes to the lower entry index, as a stable sort breaks it), which
+        numbers an observation's orders 0 .. K_o! - 1.
+
+        None when ``fill`` is False, or when the table's ``8 * K * sum_o
+        K_o!`` bytes exceed ``_BLOCK_BYTES``, which takes observations of
+        7 or more focal elements, or over a hundred of 6. Compiled when a
+        search first needs it, so one-off evaluations never pay for it.
+        """
+        counts = np.array([math.factorial(s) for s in self.sizes.tolist()])
+        k = self.a.shape[1]
+        if not self.fill or 8 * k * counts.sum() > _BLOCK_BYTES:
+            return None
+        offset = np.cumsum(counts) - counts
+        table = np.zeros((counts.sum(), k))
+        for s in np.unique(self.sizes).tolist():
+            ranks = np.array(list(itertools.permutations(range(s))))  # (s!, s) rank vectors
+            codes = sum(math.factorial(j) * (ranks[:, :j] > ranks[:, j:j + 1]).sum(axis=1)
+                        for j in range(1, s))
+            order = np.argsort(ranks, axis=1)  # the entry filled at each step
+            rows = np.flatnonzero(self.sizes == s)
+            caps = self.cap[rows][:, order]  # (rows, s!, s), in fill order
+            take = np.empty_like(caps)
+            left = np.broadcast_to(self.residual[rows, None], caps.shape[:2])
+            for step in range(s):
+                np.minimum(caps[..., step], left, out=take[..., step])
+                left = left - take[..., step]
+            mass = np.zeros((len(rows), len(ranks), k))
+            np.put_along_axis(mass, np.broadcast_to(order, take.shape), take, axis=2)
+            table[offset[rows, None] + codes] = mass + self.a[rows, None, :]
+        return table.T.copy(), offset.reshape(-1, 1, 1)

@@ -19,7 +19,8 @@ import numpy as np
 from .belief import MassTables, ObservationSet
 from .intervalprob import IntervalProbabilities, check_alpha, ignorance
 from .intervals import Interval, interval_distance
-from .likelihood import block_rows, joint_likelihood, likelihood_bounds, sum_in_order
+from .likelihood import (Workspace, block_rows, joint_likelihood, likelihood_bounds,
+                         sum_in_order)
 
 _ZERO = Interval(0.0, 0.0)
 _MIN_STEP = 1e-6
@@ -91,19 +92,22 @@ def _repair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map raw (N, 2q) box vectors to feasible (lo, hi) bound arrays.
 
     Orders each pair, rescales lowers when they oversum, and raises
-    uppers proportionally toward 1 when they undersum.
+    uppers proportionally toward 1 when they undersum. Works on the
+    transposed batch, so each hypothesis is one contiguous row of N; the
+    (N, q) results are views of those (q, N) rows.
     """
     q = x.shape[1] // 2
-    lo = np.clip(np.minimum(x[:, :q], x[:, q:]), 0.0, 1.0)
-    hi = np.clip(np.maximum(x[:, :q], x[:, q:]), 0.0, 1.0)
-    s_lo = sum_in_order(lo)
-    lo = lo / np.where(s_lo > 1.0, s_lo, 1.0)[:, None]
-    s_hi = sum_in_order(hi)
+    xt = np.ascontiguousarray(x.T)
+    lo = np.clip(np.minimum(xt[:q], xt[q:]), 0.0, 1.0)
+    hi = np.clip(np.maximum(xt[:q], xt[q:]), 0.0, 1.0)
+    s_lo = sum_in_order(lo.T)
+    lo /= np.where(s_lo > 1.0, s_lo, 1.0)
+    s_hi = sum_in_order(hi.T)
     short = s_hi < 1.0
     # q - s_hi > 0 wherever s_hi < 1: the room left toward 1
     scale = np.divide(1.0 - s_hi, q - s_hi, out=np.zeros_like(s_hi), where=short)
-    hi = np.where(short[:, None], hi + scale[:, None] * (1.0 - hi), hi)
-    return lo, hi
+    hi = np.where(short, hi + scale * (1.0 - hi), hi)
+    return lo.T, hi.T
 
 
 def _objective_batch(tables: MassTables, x: np.ndarray, alpha: float) -> np.ndarray:
@@ -172,6 +176,8 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     offsets = _trial_offsets(x0.shape[1] // 2)
     n_trials = len(offsets)
     block = block_rows(tables)
+    # every round evaluates in one set of kernel arrays
+    tables = replace(tables, work=Workspace(tables, x0.shape[1] // 2))
     x = x0.copy()
     f = _objective_batch(tables, x, alpha)
     rounds, evaluations, replayed, predicted, held = 1, len(x), 0, 0, 0

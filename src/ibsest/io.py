@@ -109,8 +109,8 @@ def _mass_entry(frame: Frame, line_no: int, line: str) -> MassEntry:
     lower, upper = _parse_mass(match.group(2), line_no)
     try:
         return MassEntry(FocalElement.of(frame, names), lower, upper)
-    except (KeyError, ValueError) as exc:
-        raise ObservationParseError(line_no, str(exc))
+    except (KeyError, ValueError) as exc:  # the message, not a KeyError's quoted str()
+        raise ObservationParseError(line_no, exc.args[0])
 
 
 def parse_observation_text(text: str) -> ObservationSet:

@@ -5,19 +5,24 @@ parameter; a whole interval-valued observation requires the inner
 min/max program over its mass box, solved here by endpoint selection
 plus a greedy fill (exact for this LP class) and cross-checked by a
 vertex-enumeration brute force.
-The joint likelihood is computed by one batched kernel,
+The joint likelihood is computed by a batched kernel,
 :func:`likelihood_bounds`, which repeats the scalar path's floating-point
-operations in order, so its bounds equal the scalar ones bit for bit.
+operations in order, so its bounds equal the scalar ones bit for bit. A
+search evaluates its rounds in a :class:`Workspace`: the same operations
+with the rows on the last axis, and the greedy masses looked up by order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .belief import (
+    _BLOCK_BYTES,
     SUM_TOL,
     FocalElement,
     Frame,
@@ -28,17 +33,6 @@ from .belief import (
 )
 from .intervalprob import IntervalProbabilities, check_feasible
 from .intervals import Interval
-
-# Byte budget of one kernel block: a batch is evaluated in blocks of rows
-# whose working set fits it, so the kernel's memory does not grow with the
-# batch. Twice the 2 MiB L2 cache of the two-core Xeon it was measured on:
-# at 2 and 3 MiB, glibc's malloc handed the freed heap back to the system
-# after most blocks and faulted it in again for the next (about 40k page
-# faults per paper-cells pass instead of about 10); _block_bounds allocates
-# its fill arrays in one piece for the same reason. The search's rounds are
-# sized by the same block (see block_rows).
-_BLOCK_BYTES = 1 << 22
-
 
 @dataclass(frozen=True)
 class LikelihoodInterval:
@@ -253,11 +247,11 @@ def likelihood_bounds(
     """Joint likelihood bounds at each row of the (N, q) bound arrays.
 
     Subset bounds once per distinct focal set, the greedy inner program of
-    :func:`ibs_likelihood` for every observation (a stable argsort, a
-    K-step fill, a scatter back; skipped where no box leaves mass to
-    place), then the product over observations. The numpy operation count
-    does not grow with the number of observations; rows are independent,
-    so the batch is evaluated in blocks of rows within ``_BLOCK_BYTES``.
+    :func:`ibs_likelihood` for every observation, then the product over
+    observations. The numpy operation count does not grow with the number
+    of observations; rows are independent, so the batch is evaluated in
+    blocks of rows within ``_BLOCK_BYTES``, in the search's workspace if
+    ``tables`` carry one (``MassTables.work``).
     """
     rows = block_rows(tables)
     l_lo, l_hi = np.empty(len(lo)), np.empty(len(lo))
@@ -268,7 +262,15 @@ def likelihood_bounds(
 
 
 def _block_bounds(tables: MassTables, lo: np.ndarray, hi: np.ndarray):
-    """:func:`likelihood_bounds` of one block of rows, in one pass."""
+    """:func:`likelihood_bounds` of one block of rows, in one pass.
+
+    A search's tables carry a :class:`Workspace`, which evaluates the
+    block. Otherwise: a stable argsort of each row's greedy fill order, a
+    K-step fill and a scatter back (skipped where no box leaves mass to
+    place), on (2, N, n, K) arrays allocated for the block.
+    """
+    if tables.work is not None and len(lo) <= tables.work.rows:
+        return tables.work.bounds(lo, hi)
     n_rows, q = lo.shape
     theta = np.zeros((2, n_rows, q + 1))  # column q is the padding zero
     theta[0, :, :q] = lo
@@ -313,6 +315,166 @@ def _block_bounds(tables: MassTables, lo: np.ndarray, hi: np.ndarray):
     crossed, mid = v_lo > v_hi, (v_lo + v_hi) / 2.0  # as in _bounds_interval
     v_lo, v_hi = np.where(crossed, mid, v_lo), np.where(crossed, mid, v_hi)
     return np.cumprod(v_lo, axis=-1)[:, -1], np.cumprod(v_hi, axis=-1)[:, -1]
+
+
+def _sum_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, in index order, into ``out`` (which may be ``x[0]``)."""
+    if len(x) == 1:
+        np.copyto(out, x[0])
+    for j in range(1, len(x)):
+        np.add(x[0] if j == 1 else out, x[j], out=out)
+    return out
+
+
+class Workspace:
+    """A search's kernel: the tables laid out rows-last, and its working arrays.
+
+    Evaluates blocks of up to ``rows`` rows (one kernel block) to the same
+    bounds as :func:`_block_bounds`, bit for bit, with every array holding
+    the block's N rows on its last axis: theta (q + 1, 2, N), the subset
+    bounds (D, 2, N), the entry costs (K, n, 2, N). The greedy masses come
+    from the order table (``MassTables.orders``) by each row's order code:
+    K(K - 1)/2 comparisons and one gather. Tables too large for an order
+    table keep the stable argsort, a K-step fill and a scatter; where no
+    box has mass to place the masses are the lower bounds. The working
+    arrays are views into one buffer, allocated when the search starts:
+    ``estimator._pattern_search`` makes one workspace and passes it down
+    in its tables (``MassTables.work``), so no round allocates or frees a
+    kernel array.
+    """
+
+    def __init__(self, tables: MassTables, q: int):
+        n, k = tables.which.shape
+        d, m = tables.focal.shape
+        self.rows = block_rows(tables)
+        self.focal = tables.focal.T.copy()  # (M, D)
+        self.which = tables.which.T.copy()  # (K, n)
+        # as ``which``, with the padding entries at row D, whose keys are +inf
+        self.keyed = np.where(np.arange(k) < tables.sizes[:, None], tables.which, d).T.copy()
+        self.a = tables.a.T[:, :, None, None].copy()
+        self.cap = tables.cap.T.copy()
+        self.residual = tables.residual[:, None, None]
+        self.fill = tables.fill
+        self.masses, self.offset = tables.orders or (None, None)
+        shapes = dict(theta=((q + 1, 2), float), sums=((2,), float),
+                      members=((m, d, 2), float), costs=((d + 1, 2), float),
+                      entries=((k, n, 2), float), crossed=((n,), bool), mid=((n,), float),
+                      bounds=((2,), float))
+        if self.fill:  # the masses are written over the keys once these are ranked
+            shapes.update(keys=((k, n, 2), float))
+        if self.masses is not None:
+            shapes.update(less=((k - 1, n, 2), bool), beaten=((n, 2), np.uint8),
+                          count=((n, 2), np.min_scalar_type(math.factorial(k))),
+                          code=((n, 2), np.intp))
+        elif self.fill:
+            shapes.update(mass=((k, n, 2), float))
+        self._layout, size = [], 0
+        for name, (lead, dtype) in shapes.items():
+            dtype = np.dtype(dtype)
+            self._layout.append((name, lead, dtype, size))
+            size += -(-math.prod(lead) * self.rows * dtype.itemsize // 64) * 64
+        self._buffer = np.empty(size, dtype=np.uint8)
+        self._views = (0, None)
+
+    def _arrays(self, n_rows: int) -> SimpleNamespace:
+        """Views of the working arrays for a block of ``n_rows`` rows."""
+        if self._views[0] != n_rows:
+            self._views = (n_rows, SimpleNamespace(**{
+                name: np.ndarray(lead + (n_rows,), dtype, self._buffer, offset)
+                for name, lead, dtype, offset in self._layout}))
+        return self._views[1]
+
+    def bounds(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The (2, N) bounds of one block of (N, q) rows, N <= ``rows``; a
+        view that the next block overwrites."""
+        n_rows, q = lo.shape
+        w = self._arrays(n_rows)
+        theta = w.theta  # (q + 1, 2, N); row q is the padding zero
+        theta[:q, 0] = lo.T
+        theta[:q, 1] = hi.T
+        theta[q] = 0.0
+        s_lo, s_hi = _sum_rows(theta[:q], w.sums)
+        # the indices are in range; a mode other than "raise" writes out unbuffered
+        members = np.take(theta, self.focal, axis=0, out=w.members, mode="clip")
+        inner = _sum_rows(members, members[0])  # (D, 2, N) subset sums
+        d = inner.shape[0]
+        costs = w.costs[:d]  # (D, 2, N), as in _focal_bounds
+        c_lo, c_hi = costs[:, 0], costs[:, 1]
+        np.subtract(s_hi, inner[:, 1], out=c_lo)
+        np.subtract(1.0, c_lo, out=c_lo)
+        np.maximum(inner[:, 0], c_lo, out=c_lo)
+        np.subtract(s_lo, inner[:, 0], out=c_hi)
+        np.subtract(1.0, c_hi, out=c_hi)
+        np.minimum(inner[:, 1], c_hi, out=c_hi)
+        np.maximum(costs, 0.0, out=costs)
+        np.minimum(costs, 1.0, out=costs)
+        c = np.take(w.costs, self.which, axis=0, out=w.entries, mode="clip")  # (K, n, 2, N)
+
+        if not self.fill:  # no box has mass to place, so every take is 0
+            c *= self.a  # the terms mass * c, with mass = a
+        else:
+            # Greedy fill: ascending cost for the lower bound, descending for
+            # the upper, ties by focal-element index; padding entries last.
+            np.negative(c_hi, out=c_hi)
+            w.costs[d] = np.inf
+            keys = np.take(w.costs, self.keyed, axis=0, out=w.keys, mode="clip")
+            if self.masses is not None:
+                c *= self._table_masses(keys, w)
+            else:
+                c *= self._sorted_masses(keys, w.mass)
+        v = _sum_rows(c, c[0])  # (n, 2, N)
+        np.maximum(v, 0.0, out=v)
+        np.minimum(v, 1.0, out=v)
+
+        v_lo, v_hi = v[:, 0], v[:, 1]
+        crossed = np.greater(v_lo, v_hi, out=w.crossed)
+        if crossed.any():  # as in _bounds_interval
+            mid = np.add(v_lo, v_hi, out=w.mid)
+            mid /= 2.0
+            np.copyto(v_lo, mid, where=crossed)
+            np.copyto(v_hi, mid, where=crossed)
+        # the product over observations, in order
+        return np.multiply.reduce(v, axis=0, out=w.bounds)
+
+    def _table_masses(self, keys: np.ndarray, w: SimpleNamespace) -> np.ndarray:
+        """The greedy masses, (K, n, 2, N), looked up in the order table by
+        the order code of each row's (K, n, 2, N) keys, written over them.
+
+        The code, sum_j j! * R_j with R_j = sum_{i<j} [key_j < key_i], is
+        accumulated by Horner's rule in the smallest unsigned type that
+        holds K! (one byte up to K = 5), where the comparisons, viewed as
+        bytes, add without a cast.
+        """
+        k = len(keys)
+        less, count = w.less.view(np.uint8), w.count
+        if k == 1:  # one order per observation
+            count.fill(0)
+        for j in range(k - 1, 0, -1):
+            np.less(keys[j], keys[:j], out=w.less[:j])
+            r = less[0] if j == 1 else np.add.reduce(less[:j], axis=0, out=w.beaten)
+            if j == k - 1:
+                np.copyto(count, r)
+            else:
+                count *= j + 1
+                count += r
+        code = np.add(self.offset, count, out=w.code)
+        return np.take(self.masses, code, axis=1, out=keys, mode="clip")
+
+    def _sorted_masses(self, keys: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        """The greedy masses, (K, n, 2, N), by a stable argsort of each row's
+        keys, a K-step fill and a scatter back into ``mass``."""
+        k, n = self.cap.shape
+        order = np.argsort(keys, axis=0, kind="stable")  # (K, n, 2, N) entry indices
+        flat = order * n + np.arange(n)[:, None, None]  # into the (K, n) caps
+        take = np.take(self.cap, flat, out=keys, mode="clip")  # caps in fill order
+        residual = self.residual
+        for step in range(k):  # caps and residuals are >= 0, so takes are too
+            np.minimum(take[step], residual, out=take[step])
+            residual = residual - take[step]
+        flat = order * order[0].size + np.arange(order[0].size).reshape(order.shape[1:])
+        mass.ravel()[flat.ravel()] = take.ravel()
+        mass += self.a
+        return mass
 
 
 def joint_likelihood(

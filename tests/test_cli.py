@@ -119,8 +119,12 @@ class TestParser:
             parse_observation_text("frame: a\n\nobs: 1\n  {a} zero\n")
 
     def test_unknown_hypothesis_is_located(self):
-        with pytest.raises(ObservationParseError, match="line 4"):
+        # worded as in a reference file, without a KeyError's quotes
+        message = "^line 4: unknown hypothesis 'c'$"
+        with pytest.raises(ObservationParseError, match=message):
             parse_observation_text("frame: a\n\nobs: 1\n  {c} 1.0\n")
+        with pytest.raises(ObservationParseError, match=message):
+            parse_expected_text("frame: a\n\nrow: alpha=1\n  c 1.0\n  I1 0\n")
 
     def test_duplicate_focal_element_rejected(self):
         text = "frame: a, b\n\nobs: 1\n  {a} 0.5\n  {a} 0.5\n"
@@ -161,7 +165,7 @@ class TestParser:
          "line 2: mass entry outside an observation"),
         ("frame: a\nobs: 1\n  { } 1.0\n", "line 3: empty focal element"),
         ("frame: a\nobs: 1\n  {a} 1.0\n  {a, b} 0.5\nobs: 2\n  {a} 1.0\n",
-         "line 4: \"unknown hypothesis 'b'\""),
+         "line 4: unknown hypothesis 'b'"),
     ], ids=["duplicate-focal-last", "duplicate-focal-followed", "empty-middle",
             "empty-end", "unrecognized", "outside", "empty-focal", "unknown-hypothesis"])
     def test_observation_errors_name_their_line(self, text, message):
@@ -199,6 +203,12 @@ class TestValidateCommand:
         f.write_text(INVALID_TEXT)
         assert main(["validate", str(f)]) == 1
         assert "below 1" in capsys.readouterr().out
+
+    def test_unknown_hypothesis_exits_two_with_its_line(self, tmp_path, capsys):
+        f = tmp_path / "unknown.obs"
+        f.write_text("frame: a\nobs: 1\n  {c} 1.0\n")
+        assert main(["validate", str(f)]) == 2
+        assert capsys.readouterr().err == "parse error: line 3: unknown hypothesis 'c'\n"
 
     def test_parse_error_exits_two(self, tmp_path):
         f = tmp_path / "broken.obs"

@@ -2,10 +2,12 @@
 scalar references."""
 
 import hashlib
+import itertools
 import math
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from ibsest import (
 from ibsest import estimator, likelihood
 from ibsest.belief import is_crisp
 from ibsest.estimator import _initial_point, _objective_batch, _repair, _trial_offsets
-from ibsest.likelihood import likelihood_bounds
+from ibsest.likelihood import _greedy_mass_value, likelihood_bounds
 
 # The kernel adds in order, as the builtin sum() of floats does before
 # Python 3.12; from 3.12 on, sum() compensates its rounding.
@@ -38,16 +40,17 @@ def same(x, y):
     return x == y if SUM_IN_ORDER else x == pytest.approx(y, rel=1e-12, abs=1e-300)
 
 
-def random_observation_set(rng, q, crisp=False):
-    """Observations of 1-5 focal elements each, so most are padded.
+def random_observation_set(rng, q, crisp=False, n_focal=None, count=None):
+    """1-6 observations of 1-5 focal elements each, so most are padded;
+    ``count`` observations of ``n_focal`` focal elements, if given.
 
     With ``crisp=True`` every observation is crisp (point masses summing
     to 1); with ``crisp="mixed"`` each one is crisp on a coin flip.
     """
     frame = Frame(tuple(f"h{i}" for i in range(q)))
     observations = []
-    for k in range(int(rng.integers(1, 7))):
-        size = int(rng.integers(1, min(5, 2**q - 1) + 1))
+    for k in range(int(rng.integers(1, 7)) if count is None else count):
+        size = int(rng.integers(1, min(5, 2**q - 1) + 1)) if n_focal is None else n_focal
         masks = rng.choice(2**q - 1, size=size, replace=False) + 1
         point = rng.random(size) + 1e-3
         point /= point.sum()
@@ -81,36 +84,140 @@ def scalar_objective(observations, lo, hi, alpha):
     return dist - sum((h - l) ** alpha for l, h in zip(lo, hi)) / len(lo)
 
 
-@pytest.mark.parametrize("q", range(2, 11))
+def mass_source(tables):
+    """Where a search's kernel takes the greedy masses from."""
+    if not tables.fill:
+        return "lower bounds"
+    return "argsort" if tables.orders is None else "order table"
+
+
+def large_sets(rng, q):
+    """Sets beyond the order table's usual reach, with the mass source each
+    compiles to: observations of 6 and of 7 focal elements (order tables
+    of 720 and 5,040 orders each), and a set whose order table would exceed
+    the block budget (15 observations of 7 focal elements, or 2 of 8), so
+    that the kernel sorts each row."""
+    if 2**q - 1 < 7:
+        return []
+    big = 7 if q == 3 else 8
+    over = likelihood._BLOCK_BYTES // (8 * big * math.factorial(big)) + 1
+    return [(random_observation_set(rng, q, n_focal=6, count=3), "order table"),
+            (random_observation_set(rng, q, n_focal=7, count=2), "order table"),
+            (random_observation_set(rng, q, n_focal=big, count=over), "argsort")]
+
+
+@pytest.mark.parametrize("q", range(1, 11))  # q = 1: every observation has one focal element
 def test_kernel_matches_scalar_path_and_oracle(q):
     rng = np.random.default_rng(100 + q)
-    for crisp in (False,) * 4 + (True, "mixed", "mixed"):
-        observations = random_observation_set(rng, q, crisp)
-        # the kernel skips the greedy fill unless some box has mass to place
-        assert observations.tables.fill == (
-            not all(is_crisp(obs) for obs in observations.observations))
+    cases = [(random_observation_set(rng, q, crisp), None)
+             for crisp in (False,) * 4 + (True, "mixed", "mixed")]
+    for observations, source in cases + large_sets(rng, q):
+        if source is None:
+            # the kernel skips the greedy fill unless some box has mass to place
+            assert observations.tables.fill == (
+                not all(is_crisp(obs) for obs in observations.observations))
+            source = mass_source(observations.tables)
+        assert mass_source(observations.tables) == source
+        # the brute-force oracle enumerates boxes of up to 5 focal elements
+        small = all(len(obs.entries) <= 5 for obs in observations.observations)
         x = rng.random((32, 2 * q))
         x[:4] = np.round(x[:4])  # corners: point and vacuous intervals
         alpha = float(rng.choice([1.0, 2.0, 3.0, 4.0, 5.0, float(rng.uniform(1, 5))]))
         lo, hi = _repair(x)
         k_lo, k_hi = likelihood_bounds(observations.tables, lo, hi)
         values = _objective_batch(observations.tables, x, alpha)
+        # a search's kernel, in its workspace, gives the same bits
+        searched = replace(observations.tables,
+                           work=likelihood.Workspace(observations.tables, q))
+        assert [b.tobytes() for b in likelihood_bounds(searched, lo, hi)] == [
+            k_lo.tobytes(), k_hi.tobytes()]
+        assert _objective_batch(searched, x, alpha).tobytes() == values.tobytes()
         for r in range(len(x)):
             theta = IntervalProbabilities(
                 observations.frame, tuple(lo[r].tolist()), tuple(hi[r].tolist()))
             s_lo = s_hi = b_lo = b_hi = 1.0
             for obs in observations.observations:
                 like, _, _ = ibs_likelihood(obs, theta)
-                brute = ibs_likelihood_bruteforce(obs, theta)
                 s_lo *= like.value.lo
                 s_hi *= like.value.hi
-                b_lo *= brute.value.lo
-                b_hi *= brute.value.hi
+                if small:
+                    brute = ibs_likelihood_bruteforce(obs, theta)
+                    b_lo *= brute.value.lo
+                    b_hi *= brute.value.hi
             assert same(k_lo[r], s_lo) and same(k_hi[r], s_hi)
-            assert k_lo[r] == pytest.approx(b_lo, abs=1e-9)
-            assert k_hi[r] == pytest.approx(b_hi, abs=1e-9)
+            if small:
+                assert k_lo[r] == pytest.approx(b_lo, abs=1e-9)
+                assert k_hi[r] == pytest.approx(b_hi, abs=1e-9)
             assert same(values[r], scalar_objective(
                 observations, lo[r].tolist(), hi[r].tolist(), alpha))
+
+
+def test_search_kernel_reads_each_observations_one_order():
+    # one focal element per observation, so one order each; the second box
+    # ends just below 1, so its mass is not the first one's
+    frame = Frame(("a", "b"))
+    observations = ObservationSet(frame, tuple(
+        IntervalBeliefStructure(frame, (MassEntry(FocalElement.of(frame, [h]), lo, hi),), h)
+        for h, lo, hi in (("a", 0.3, 1.0), ("b", 0.6, 1.0 - 5e-10))))
+    tables = observations.tables
+    assert tables.orders[0].tolist() == [[1.0, 1.0 - 5e-10]]
+    lo, hi = _repair(np.random.default_rng(1).random((8, 4)))
+    searched = replace(tables, work=likelihood.Workspace(tables, 2))
+    assert [b.tobytes() for b in likelihood_bounds(searched, lo, hi)] == [
+        b.tobytes() for b in likelihood_bounds(tables, lo, hi)]
+
+
+def sequential_fill(a, b, order):
+    """The greedy fill of the box [a, b] in ``order``, in Python floats."""
+    residual = max(1.0 - sum(a), 0.0)
+    masses = list(a)
+    for i in order:
+        take = min(b[i] - a[i], residual)
+        masses[i] = 0.0 + a[i] + take
+        residual -= take
+    return masses
+
+
+def costs_of(order, ties):
+    """Costs whose ascending order, ties to the lower index, is ``order``;
+    with ``ties``, each entry ties the one before it where that keeps the order."""
+    costs, level = [0] * len(order), 0
+    for before, i in zip(order, order[1:]):
+        level += not (ties and before < i)
+        costs[i] = level
+    return costs
+
+
+@pytest.mark.parametrize("name", ["table1", "table3", "table5", "random"])
+def test_order_table_holds_the_fill_of_every_order(name, request):
+    if name == "random":
+        rng = np.random.default_rng(7)
+        sets = [random_observation_set(rng, q, crisp) for q in (2, 3, 4, 6)
+                for crisp in (False, "mixed")]
+        sets += [random_observation_set(rng, 1, count=2),  # one focal element each
+                 random_observation_set(rng, 3, n_focal=6, count=2),
+                 random_observation_set(rng, 3, n_focal=7, count=1)]
+    else:
+        sets = [request.getfixturevalue(name)]
+    for observations in sets:
+        tables = observations.tables
+        assert (tables.orders is None) == (not tables.fill)  # all within the budget
+        masses, offset = tables.orders or (None, None)
+        for o, obs in enumerate(observations.observations):
+            a, b = obs.lowers, obs.uppers
+            for order in itertools.permutations(range(len(a))):
+                rank = [order.index(i) for i in range(len(a))]
+                code = sum(math.factorial(j) * sum(rank[i] > rank[j] for i in range(j))
+                           for j in range(len(a)))
+                want = sequential_fill(a, b, order) if tables.fill else list(a)
+                if tables.fill:
+                    got = masses[:, offset[o, 0, 0] + code].tolist()
+                    assert got == want + [0.0] * (len(got) - len(a))
+                for ties in (False, True):
+                    costs = costs_of(order, ties)
+                    assert _greedy_mass_value(a, b, costs, maximize=False)[1] == want
+                    assert _greedy_mass_value(
+                        a, b, [-c for c in costs], maximize=True)[1] == want
 
 
 def test_row_value_does_not_depend_on_batch(table5, monkeypatch):
