@@ -19,8 +19,8 @@ import numpy as np
 from .belief import MassTables, ObservationSet
 from .intervalprob import IntervalProbabilities, check_alpha, ignorance
 from .intervals import Interval, interval_distance
-from .likelihood import (Workspace, block_rows, joint_likelihood, likelihood_bounds,
-                         sum_in_order)
+from .likelihood import (block_rows, joint_likelihood, likelihood_bounds,
+                         sum_in_order, with_workspace)
 
 _ZERO = Interval(0.0, 0.0)
 _MIN_STEP = 1e-6
@@ -177,7 +177,7 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     n_trials = len(offsets)
     block = block_rows(tables)
     # every round evaluates in one set of kernel arrays
-    tables = replace(tables, work=Workspace(tables, x0.shape[1] // 2))
+    tables = with_workspace(tables, x0.shape[1] // 2)
     x = x0.copy()
     f = _objective_batch(tables, x, alpha)
     rounds, evaluations, replayed, predicted, held = 1, len(x), 0, 0, 0

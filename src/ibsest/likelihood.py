@@ -8,15 +8,16 @@ vertex-enumeration brute force.
 The joint likelihood is computed by a batched kernel,
 :func:`likelihood_bounds`, which repeats the scalar path's floating-point
 operations in order, so its bounds equal the scalar ones bit for bit. A
-search evaluates its rounds in a :class:`Workspace`: the same operations
-with the rows on the last axis, and the greedy masses looked up by order.
+search evaluates its rounds in a :class:`Workspace` where the order table
+fits the budget: the same operations with the rows on the last axis, and
+the greedy masses looked up by order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -264,12 +265,12 @@ def likelihood_bounds(
 def _block_bounds(tables: MassTables, lo: np.ndarray, hi: np.ndarray):
     """:func:`likelihood_bounds` of one block of rows, in one pass.
 
-    A search's tables carry a :class:`Workspace`, which evaluates the
-    block. Otherwise: a stable argsort of each row's greedy fill order, a
-    K-step fill and a scatter back (skipped where no box leaves mass to
-    place), on (2, N, n, K) arrays allocated for the block.
+    A search's tables carry a :class:`Workspace` (see :func:`with_workspace`),
+    which evaluates the block. Otherwise: a stable argsort of each row's
+    greedy fill order, a K-step fill and a scatter back (skipped where no
+    box leaves mass to place), on (2, N, n, K) arrays allocated for the block.
     """
-    if tables.work is not None and len(lo) <= tables.work.rows:
+    if tables.work is not None:
         return tables.work.bounds(lo, hi)
     n_rows, q = lo.shape
     theta = np.zeros((2, n_rows, q + 1))  # column q is the padding zero
@@ -334,9 +335,9 @@ class Workspace:
     the block's N rows on its last axis: theta (q + 1, 2, N), the subset
     bounds (D, 2, N), the entry costs (K, n, 2, N). The greedy masses come
     from the order table (``MassTables.orders``) by each row's order code:
-    K(K - 1)/2 comparisons and one gather. Tables too large for an order
-    table keep the stable argsort, a K-step fill and a scatter; where no
-    box has mass to place the masses are the lower bounds. The working
+    K(K - 1)/2 comparisons and one gather; where no box has mass to place
+    the masses are the lower bounds. Tables whose order table would exceed
+    the budget get no workspace (:func:`with_workspace`). The working
     arrays are views into one buffer, allocated when the search starts:
     ``estimator._pattern_search`` makes one workspace and passes it down
     in its tables (``MassTables.work``), so no round allocates or frees a
@@ -352,8 +353,6 @@ class Workspace:
         # as ``which``, with the padding entries at row D, whose keys are +inf
         self.keyed = np.where(np.arange(k) < tables.sizes[:, None], tables.which, d).T.copy()
         self.a = tables.a.T[:, :, None, None].copy()
-        self.cap = tables.cap.T.copy()
-        self.residual = tables.residual[:, None, None]
         self.fill = tables.fill
         self.masses, self.offset = tables.orders or (None, None)
         shapes = dict(theta=((q + 1, 2), float), sums=((2,), float),
@@ -361,13 +360,10 @@ class Workspace:
                       entries=((k, n, 2), float), crossed=((n,), bool), mid=((n,), float),
                       bounds=((2,), float))
         if self.fill:  # the masses are written over the keys once these are ranked
-            shapes.update(keys=((k, n, 2), float))
-        if self.masses is not None:
-            shapes.update(less=((k - 1, n, 2), bool), beaten=((n, 2), np.uint8),
+            shapes.update(keys=((k, n, 2), float), less=((k - 1, n, 2), bool),
+                          beaten=((n, 2), np.uint8),
                           count=((n, 2), np.min_scalar_type(math.factorial(k))),
                           code=((n, 2), np.intp))
-        elif self.fill:
-            shapes.update(mass=((k, n, 2), float))
         self._layout, size = [], 0
         for name, (lead, dtype) in shapes.items():
             dtype = np.dtype(dtype)
@@ -418,10 +414,7 @@ class Workspace:
             np.negative(c_hi, out=c_hi)
             w.costs[d] = np.inf
             keys = np.take(w.costs, self.keyed, axis=0, out=w.keys, mode="clip")
-            if self.masses is not None:
-                c *= self._table_masses(keys, w)
-            else:
-                c *= self._sorted_masses(keys, w.mass)
+            c *= self._table_masses(keys, w)
         v = _sum_rows(c, c[0])  # (n, 2, N)
         np.maximum(v, 0.0, out=v)
         np.minimum(v, 1.0, out=v)
@@ -460,21 +453,14 @@ class Workspace:
         code = np.add(self.offset, count, out=w.code)
         return np.take(self.masses, code, axis=1, out=keys, mode="clip")
 
-    def _sorted_masses(self, keys: np.ndarray, mass: np.ndarray) -> np.ndarray:
-        """The greedy masses, (K, n, 2, N), by a stable argsort of each row's
-        keys, a K-step fill and a scatter back into ``mass``."""
-        k, n = self.cap.shape
-        order = np.argsort(keys, axis=0, kind="stable")  # (K, n, 2, N) entry indices
-        flat = order * n + np.arange(n)[:, None, None]  # into the (K, n) caps
-        take = np.take(self.cap, flat, out=keys, mode="clip")  # caps in fill order
-        residual = self.residual
-        for step in range(k):  # caps and residuals are >= 0, so takes are too
-            np.minimum(take[step], residual, out=take[step])
-            residual = residual - take[step]
-        flat = order * order[0].size + np.arange(order[0].size).reshape(order.shape[1:])
-        mass.ravel()[flat.ravel()] = take.ravel()
-        mass += self.a
-        return mass
+
+def with_workspace(tables: MassTables, q: int) -> MassTables:
+    """``tables`` carrying a search's :class:`Workspace` over q hypotheses;
+    unchanged if their order table would exceed the budget, so that each
+    block sorts its rows in :func:`_block_bounds`."""
+    if tables.fill and tables.orders is None:
+        return tables
+    return replace(tables, work=Workspace(tables, q))
 
 
 def joint_likelihood(

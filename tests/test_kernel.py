@@ -7,7 +7,6 @@ import math
 import re
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,7 +84,8 @@ def scalar_objective(observations, lo, hi, alpha):
 
 
 def mass_source(tables):
-    """Where a search's kernel takes the greedy masses from."""
+    """Where a search's kernel takes the greedy masses from: the sorting
+    kernel's argsort where the order table would exceed the budget."""
     if not tables.fill:
         return "lower bounds"
     return "argsort" if tables.orders is None else "order table"
@@ -96,22 +96,23 @@ def large_sets(rng, q):
     compiles to: observations of 6 and of 7 focal elements (order tables
     of 720 and 5,040 orders each), and a set whose order table would exceed
     the block budget (15 observations of 7 focal elements, or 2 of 8), so
-    that the kernel sorts each row."""
+    that the kernel sorts each row. Each set is drawn when it is consumed."""
     if 2**q - 1 < 7:
-        return []
+        return
     big = 7 if q == 3 else 8
     over = likelihood._BLOCK_BYTES // (8 * big * math.factorial(big)) + 1
-    return [(random_observation_set(rng, q, n_focal=6, count=3), "order table"),
-            (random_observation_set(rng, q, n_focal=7, count=2), "order table"),
-            (random_observation_set(rng, q, n_focal=big, count=over), "argsort")]
+    yield random_observation_set(rng, q, n_focal=6, count=3), "order table"
+    yield random_observation_set(rng, q, n_focal=7, count=2), "order table"
+    yield random_observation_set(rng, q, n_focal=big, count=over), "argsort"
 
 
 @pytest.mark.parametrize("q", range(1, 11))  # q = 1: every observation has one focal element
 def test_kernel_matches_scalar_path_and_oracle(q):
     rng = np.random.default_rng(100 + q)
-    cases = [(random_observation_set(rng, q, crisp), None)
-             for crisp in (False,) * 4 + (True, "mixed", "mixed")]
-    for observations, source in cases + large_sets(rng, q):
+    # each set is drawn just before its rows and alpha, the large sets last
+    cases = ((random_observation_set(rng, q, crisp), None)
+             for crisp in (False,) * 4 + (True, "mixed", "mixed"))
+    for observations, source in itertools.chain(cases, large_sets(rng, q)):
         if source is None:
             # the kernel skips the greedy fill unless some box has mass to place
             assert observations.tables.fill == (
@@ -127,8 +128,8 @@ def test_kernel_matches_scalar_path_and_oracle(q):
         k_lo, k_hi = likelihood_bounds(observations.tables, lo, hi)
         values = _objective_batch(observations.tables, x, alpha)
         # a search's kernel, in its workspace, gives the same bits
-        searched = replace(observations.tables,
-                           work=likelihood.Workspace(observations.tables, q))
+        searched = likelihood.with_workspace(observations.tables, q)
+        assert (searched.work is None) == (source == "argsort")
         assert [b.tobytes() for b in likelihood_bounds(searched, lo, hi)] == [
             k_lo.tobytes(), k_hi.tobytes()]
         assert _objective_batch(searched, x, alpha).tobytes() == values.tobytes()
@@ -162,7 +163,7 @@ def test_search_kernel_reads_each_observations_one_order():
     tables = observations.tables
     assert tables.orders[0].tolist() == [[1.0, 1.0 - 5e-10]]
     lo, hi = _repair(np.random.default_rng(1).random((8, 4)))
-    searched = replace(tables, work=likelihood.Workspace(tables, 2))
+    searched = likelihood.with_workspace(tables, 2)
     assert [b.tobytes() for b in likelihood_bounds(searched, lo, hi)] == [
         b.tobytes() for b in likelihood_bounds(tables, lo, hi)]
 
@@ -257,6 +258,48 @@ def test_kernel_working_set_does_not_grow_with_batch(name, request):
 
     # only the (N,) outputs grow with the batch
     assert peak(20_000) <= 1.5 * peak(2_000)
+
+
+@pytest.mark.parametrize("name", ["table1", "table5"])  # no fill; order table
+def test_search_workspace_blocks_match_single_rows(name, request, monkeypatch):
+    observations = request.getfixturevalue(name)
+    q = observations.frame.size
+    monkeypatch.setattr(likelihood, "_BLOCK_BYTES", 1 << 21)
+    searched = likelihood.with_workspace(observations.tables, q)
+    rows = likelihood.block_rows(searched)
+    assert searched.work.rows == rows
+    rng = np.random.default_rng(11)
+
+    def bounds(n_rows):
+        lo, hi = _repair(rng.random((n_rows, 2 * q)))
+        return lo, hi, likelihood_bounds(searched, lo, hi)
+
+    # three full blocks, then a partial one, whose views are made anew
+    lo, hi, (k_lo, k_hi) = bounds(3 * rows + rows // 2)
+    for i in range(len(lo)):
+        one = lo[i : i + 1], hi[i : i + 1]
+        assert [b.tobytes() for b in likelihood_bounds(searched, *one)] == [
+            k_lo[i : i + 1].tobytes(), k_hi[i : i + 1].tobytes()]
+        assert [b.tobytes() for b in likelihood_bounds(observations.tables, *one)] == [
+            k_lo[i : i + 1].tobytes(), k_hi[i : i + 1].tobytes()]
+    again = likelihood_bounds(searched, lo, hi)  # full blocks after one-row ones
+    assert [b.tobytes() for b in again] == [k_lo.tobytes(), k_hi.tobytes()]
+
+    def peak(n_rows):
+        lo, hi = _repair(rng.random((n_rows, 2 * q)))
+        tracemalloc.start()
+        try:
+            likelihood_bounds(searched, lo, hi)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # beyond the two (N,) outputs, a block allocates only numpy's iteration
+    # buffers (at most 8,192 elements an operand), not the kernel's arrays,
+    # and the batch adds nothing
+    block = peak(rows) - 16 * rows
+    assert block < searched.work._buffer.nbytes / 4
+    assert peak(20_000) - 16 * 20_000 <= block + (1 << 12)
 
 
 def test_joint_likelihood_rejects_infeasible_theta(table1):
