@@ -227,8 +227,8 @@ class MassTables:
     residual: np.ndarray  # (n,): mass to distribute above the lower bounds
     sizes: np.ndarray  # (n,) int
     fill: bool
-    # a search's kernel state (``likelihood.Workspace``), allocated once for
-    # all its rounds; None for one-off evaluations
+    # a search's kernel (``likelihood.Workspace``), allocated once for all
+    # its rounds; None elsewhere, where each call makes its own
     work: Workspace | None = field(default=None, repr=False)
 
     @staticmethod
@@ -269,8 +269,10 @@ class MassTables:
 
         None when ``fill`` is False, or when the table's ``8 * K * sum_o
         K_o!`` bytes exceed ``_BLOCK_BYTES``, which takes observations of
-        7 or more focal elements, or over a hundred of 6. Compiled when a
-        search first needs it, so one-off evaluations never pay for it.
+        7 or more focal elements, or over a hundred of 6; the kernel then
+        sorts each row. Only a search reads it (``likelihood.with_workspace``),
+        compiled when the first one starts, so one-off evaluations never pay
+        for it.
         """
         counts = np.array([math.factorial(s) for s in self.sizes.tolist()])
         k = self.a.shape[1]

@@ -5,12 +5,11 @@ parameter; a whole interval-valued observation requires the inner
 min/max program over its mass box, solved here by endpoint selection
 plus a greedy fill (exact for this LP class) and cross-checked by a
 vertex-enumeration brute force.
-The joint likelihood is computed by a batched kernel,
-:func:`likelihood_bounds`, which repeats the scalar path's floating-point
-operations in order, so its bounds equal the scalar ones bit for bit. A
-search evaluates its rounds in a :class:`Workspace` where the order table
-fits the budget: the same operations with the rows on the last axis, and
-the greedy masses looked up by order.
+The joint likelihood is computed by one batched kernel, a
+:class:`Workspace` (see :func:`likelihood_bounds`), which repeats the
+scalar path's floating-point operations in order with the rows on the
+last axis, so its bounds equal the scalar ones bit for bit. A search
+keeps one workspace for all its rounds; a one-off call makes its own.
 """
 
 from __future__ import annotations
@@ -229,13 +228,11 @@ def sum_in_order(x: np.ndarray) -> np.ndarray:
 
 
 def block_rows(tables: MassTables) -> int:
-    """Rows of one kernel block: as many as fit ``_BLOCK_BYTES``.
-
-    The budget's row count: per row, a (2, n, K, M) member gather and
-    eight (2, n, K) float temporaries (n observations of at most K focal
-    elements of at most M members). The kernel gathers members once per
-    distinct focal set, (2, D, M) with D <= n * K, so its working set
-    stays below that figure.
+    """Rows of one kernel block: as many as fit ``_BLOCK_BYTES`` at 16 bytes
+    a row for each of n * K * (M + 8) slots (n observations of at most K
+    focal elements of at most M members): a member gather as if each entry
+    had its own focal set, and eight (n, K) arrays per bound. A search
+    sizes its rounds by the same count.
     """
     n_obs, k_max = tables.which.shape
     m_max = tables.focal.shape[1]
@@ -247,75 +244,26 @@ def likelihood_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint likelihood bounds at each row of the (N, q) bound arrays.
 
-    Subset bounds once per distinct focal set, the greedy inner program of
-    :func:`ibs_likelihood` for every observation, then the product over
-    observations. The numpy operation count does not grow with the number
-    of observations; rows are independent, so the batch is evaluated in
-    blocks of rows within ``_BLOCK_BYTES``, in the search's workspace if
-    ``tables`` carry one (``MassTables.work``).
+    Rows are independent, so the batch is evaluated in blocks of rows
+    within ``_BLOCK_BYTES``: in the search's :class:`Workspace` if
+    ``tables`` carry one (``MassTables.work``), else in one of this call's
+    own, which sorts each row's fill order. So one-off calls stay
+    reentrant and never compile the order table.
     """
-    rows = block_rows(tables)
+    work = tables.work
+    if work is None:
+        work = Workspace(tables, lo.shape[1], max(1, min(len(lo), block_rows(tables))))
+    rows = work.rows
     l_lo, l_hi = np.empty(len(lo)), np.empty(len(lo))
     for i in range(0, len(lo), rows):
         l_lo[i : i + rows], l_hi[i : i + rows] = _block_bounds(
-            tables, lo[i : i + rows], hi[i : i + rows])
+            work, lo[i : i + rows], hi[i : i + rows])
     return l_lo, l_hi
 
 
-def _block_bounds(tables: MassTables, lo: np.ndarray, hi: np.ndarray):
-    """:func:`likelihood_bounds` of one block of rows, in one pass.
-
-    A search's tables carry a :class:`Workspace` (see :func:`with_workspace`),
-    which evaluates the block. Otherwise: a stable argsort of each row's
-    greedy fill order, a K-step fill and a scatter back (skipped where no
-    box leaves mass to place), on (2, N, n, K) arrays allocated for the block.
-    """
-    if tables.work is not None:
-        return tables.work.bounds(lo, hi)
-    n_rows, q = lo.shape
-    theta = np.zeros((2, n_rows, q + 1))  # column q is the padding zero
-    theta[0, :, :q] = lo
-    theta[1, :, :q] = hi
-    s_lo, s_hi = sum_in_order(theta[:, :, :q])[:, :, None]
-    in_lo, in_hi = sum_in_order(theta[:, :, tables.focal])  # each (N, D)
-    c_lo = np.minimum(np.maximum(np.maximum(in_lo, 1.0 - (s_hi - in_hi)), 0.0), 1.0)
-    c_hi = np.minimum(np.maximum(np.minimum(in_hi, 1.0 - (s_lo - in_lo)), 0.0), 1.0)
-    c = np.stack([c_lo, c_hi])[:, :, tables.which]  # (2, N, n, K)
-
-    if not tables.fill:  # no box has mass left to place, so every take is 0
-        c *= tables.a  # the terms mass * c, with mass = a
-    else:
-        # c and the fill's two (2, N, n, K) arrays share one allocation.
-        # glibc's malloc returns the top of its heap to the system once it
-        # exceeds twice the largest allocation freed so far; as separate
-        # arrays they crossed that after most blocks, and the next block
-        # faulted the pages in again (about 27k faults per paper-cells pass).
-        work = np.empty((3,) + c.shape)
-        work[0] = c
-        c, key, cap = work
-        # Greedy fill: ascending cost for the lower bound, descending for
-        # the upper; the stable sort breaks ties by focal-element index.
-        key[0] = c[0]
-        np.negative(c[1], out=key[1])
-        order = np.argsort(key, axis=-1, kind="stable")
-        n_obs, k_max = tables.cap.shape
-        order += k_max * np.arange(n_obs)[:, None]  # flat (n, K) indices
-        # the indices are in range; a mode other than "raise" writes cap unbuffered
-        np.take(tables.cap, order, out=cap, mode="clip")
-        residual = tables.residual
-        for k in range(k_max):  # caps and residuals are >= 0, so takes are too
-            np.minimum(cap[..., k], residual, out=cap[..., k])
-            residual = residual - cap[..., k]
-        order += (n_obs * k_max) * np.arange(2 * n_rows).reshape(2, n_rows, 1, 1)
-        mass = key  # the sort is done: scatter the takes over its keys
-        mass.ravel()[order.ravel()] = cap.ravel()
-        mass += tables.a
-        c *= mass
-    v_lo, v_hi = np.minimum(np.maximum(sum_in_order(c), 0.0), 1.0)  # each (N, n)
-
-    crossed, mid = v_lo > v_hi, (v_lo + v_hi) / 2.0  # as in _bounds_interval
-    v_lo, v_hi = np.where(crossed, mid, v_lo), np.where(crossed, mid, v_hi)
-    return np.cumprod(v_lo, axis=-1)[:, -1], np.cumprod(v_hi, axis=-1)[:, -1]
+def _block_bounds(work: Workspace, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`likelihood_bounds` of one block of rows: its (2, N) bounds."""
+    return work.bounds(lo, hi)
 
 
 def _sum_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -328,40 +276,45 @@ def _sum_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class Workspace:
-    """A search's kernel: the tables laid out rows-last, and its working arrays.
+    """The likelihood kernel: the tables laid out rows-last, and its working arrays.
 
-    Evaluates blocks of up to ``rows`` rows (one kernel block) to the same
-    bounds as :func:`_block_bounds`, bit for bit, with every array holding
-    the block's N rows on its last axis: theta (q + 1, 2, N), the subset
-    bounds (D, 2, N), the entry costs (K, n, 2, N). The greedy masses come
-    from the order table (``MassTables.orders``) by each row's order code:
-    K(K - 1)/2 comparisons and one gather; where no box has mass to place
-    the masses are the lower bounds. Tables whose order table would exceed
-    the budget get no workspace (:func:`with_workspace`). The working
-    arrays are views into one buffer, allocated when the search starts:
-    ``estimator._pattern_search`` makes one workspace and passes it down
-    in its tables (``MassTables.work``), so no round allocates or frees a
-    kernel array.
+    Evaluates blocks of up to ``rows`` rows to the scalar path's bounds,
+    bit for bit, in a numpy operation count that does not grow with the
+    number of observations. Every array holds the block's N rows on its
+    last axis: theta (q + 1, 2, N), the subset bounds (D, 2, N), the entry
+    costs (K, n, 2, N). The greedy masses are the lower bounds where no box
+    has mass to place (``MassTables.fill``); else they come from the order
+    table ``orders`` (``MassTables.orders``) by each row's order code, in
+    K(K - 1)/2 comparisons and one gather; else from a stable argsort of
+    each row's keys, a K-step fill and a scatter back. The arrays are views
+    into one buffer: a search makes one workspace when it starts
+    (:func:`with_workspace`) and passes it down in its tables
+    (``MassTables.work``), so no round allocates a kernel array outside the
+    argsort fill; a one-off call makes its own.
     """
 
-    def __init__(self, tables: MassTables, q: int):
+    def __init__(self, tables: MassTables, q: int, rows: int, orders=None):
         n, k = tables.which.shape
         d, m = tables.focal.shape
-        self.rows = block_rows(tables)
+        self.rows = rows
         self.focal = tables.focal.T.copy()  # (M, D)
         self.which = tables.which.T.copy()  # (K, n)
         # as ``which``, with the padding entries at row D, whose keys are +inf
         self.keyed = np.where(np.arange(k) < tables.sizes[:, None], tables.which, d).T.copy()
         self.a = tables.a.T[:, :, None, None].copy()
+        # the argsort fill's caps and residuals
+        self.cap = tables.cap.T[:, :, None, None]
+        self.residual = tables.residual[:, None, None]
         self.fill = tables.fill
-        self.masses, self.offset = tables.orders or (None, None)
+        self.masses, self.offset = orders or (None, None)
         shapes = dict(theta=((q + 1, 2), float), sums=((2,), float),
                       members=((m, d, 2), float), costs=((d + 1, 2), float),
                       entries=((k, n, 2), float), crossed=((n,), bool), mid=((n,), float),
                       bounds=((2,), float))
         if self.fill:  # the masses are written over the keys once these are ranked
-            shapes.update(keys=((k, n, 2), float), less=((k - 1, n, 2), bool),
-                          beaten=((n, 2), np.uint8),
+            shapes.update(keys=((k, n, 2), float))
+        if self.masses is not None:
+            shapes.update(less=((k - 1, n, 2), bool), beaten=((n, 2), np.uint8),
                           count=((n, 2), np.min_scalar_type(math.factorial(k))),
                           code=((n, 2), np.intp))
         self._layout, size = [], 0
@@ -414,7 +367,7 @@ class Workspace:
             np.negative(c_hi, out=c_hi)
             w.costs[d] = np.inf
             keys = np.take(w.costs, self.keyed, axis=0, out=w.keys, mode="clip")
-            c *= self._table_masses(keys, w)
+            c *= self._sorted_masses(keys) if self.masses is None else self._table_masses(keys, w)
         v = _sum_rows(c, c[0])  # (n, 2, N)
         np.maximum(v, 0.0, out=v)
         np.minimum(v, 1.0, out=v)
@@ -438,29 +391,36 @@ class Workspace:
         holds K! (one byte up to K = 5), where the comparisons, viewed as
         bytes, add without a cast.
         """
-        k = len(keys)
         less, count = w.less.view(np.uint8), w.count
-        if k == 1:  # one order per observation
-            count.fill(0)
-        for j in range(k - 1, 0, -1):
+        count.fill(0)  # Horner's rule starts at 0, the one code of a single entry
+        for j in range(len(keys) - 1, 0, -1):
             np.less(keys[j], keys[:j], out=w.less[:j])
             r = less[0] if j == 1 else np.add.reduce(less[:j], axis=0, out=w.beaten)
-            if j == k - 1:
-                np.copyto(count, r)
-            else:
-                count *= j + 1
-                count += r
+            count *= j + 1
+            count += r
         code = np.add(self.offset, count, out=w.code)
         return np.take(self.masses, code, axis=1, out=keys, mode="clip")
 
+    def _sorted_masses(self, keys: np.ndarray) -> np.ndarray:
+        """The greedy masses, (K, n, 2, N), by a stable argsort of each row's
+        keys, a K-step fill and a scatter back over the keys, on arrays
+        allocated for the block. The float operations are the order table's: ``np.minimum(cap,
+        residual)``, then ``residual - take``, then ``take + a``.
+        """
+        order = np.argsort(keys, axis=0, kind="stable")  # the entry filled at each step
+        taken = np.take_along_axis(self.cap, order, axis=0)  # caps in fill order
+        residual = self.residual
+        for take in taken:  # caps and residuals are >= 0, so takes are too
+            np.minimum(take, residual, out=take)
+            residual = residual - take
+        np.put_along_axis(keys, order, taken, axis=0)
+        keys += self.a
+        return keys
+
 
 def with_workspace(tables: MassTables, q: int) -> MassTables:
-    """``tables`` carrying a search's :class:`Workspace` over q hypotheses;
-    unchanged if their order table would exceed the budget, so that each
-    block sorts its rows in :func:`_block_bounds`."""
-    if tables.fill and tables.orders is None:
-        return tables
-    return replace(tables, work=Workspace(tables, q))
+    """``tables`` carrying a search's :class:`Workspace` over q hypotheses."""
+    return replace(tables, work=Workspace(tables, q, block_rows(tables), tables.orders))
 
 
 def joint_likelihood(
@@ -468,7 +428,6 @@ def joint_likelihood(
 ) -> LikelihoodInterval:
     """Product, in observation order, of the per-observation likelihoods."""
     _check_theta(theta, observations.frame)
-    lo, hi = likelihood_bounds(
-        observations.tables, np.array([theta.lowers]), np.array([theta.uppers])
-    )
+    row = np.array([theta.lowers]), np.array([theta.uppers])
+    lo, hi = likelihood_bounds(observations.tables, *row)
     return LikelihoodInterval(Interval(float(lo[0]), float(hi[0])), source="joint")

@@ -258,20 +258,27 @@ class TestEstimateCommand:
         assert "input_digest: sha256:" in report
         assert report.count("row: alpha=") == 2
 
-    @pytest.mark.parametrize("table", ["table1", "table3", "table5"])
+    @pytest.mark.parametrize("table", ["table1", "table3", "table5", "all7"])
     def test_report_matches_golden(self, table, fixtures, tmp_path, capsys):
         # tests/golden holds the reports `ibsest estimate <table> --alpha 1,2
-        # --seed 42 --out` wrote at version 0.2.0; a changed search path shows
+        # --seed 42 --out` wrote at version 0.2.0; a changed search path shows.
+        # all7.obs, stored with its report, is 15 observations over all 7
+        # subsets of a 3-hypothesis frame, whose order table would exceed the
+        # kernel's block budget; its report is at 8 restarts.
+        golden = Path(__file__).parent / "golden"
+        if table == "all7":
+            obs, extra = golden / "all7.obs", ["--restarts", "8"]
+        else:
+            obs, extra = fixtures / f"{table}.obs", []
         out = tmp_path / "r.txt"
-        assert main(["estimate", str(fixtures / f"{table}.obs"), "--alpha", "1,2",
-                     "--seed", "42", "--out", str(out)]) == 0
+        assert main(["estimate", str(obs), "--alpha", "1,2", "--seed", "42", *extra,
+                     "--out", str(out)]) == 0
         capsys.readouterr()
 
         def lines(text):
             return [l for l in text.splitlines() if not l.startswith("tool_version:")]
 
-        golden = Path(__file__).parent / "golden" / f"{table}.txt"
-        assert lines(out.read_text()) == lines(golden.read_text())
+        assert lines(out.read_text()) == lines((golden / f"{table}.txt").read_text())
 
     def test_invalid_observations_exit_one(self, tmp_path, capsys):
         f = tmp_path / "bad.obs"

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ibsest import (
 from ibsest import estimator, likelihood
 from ibsest.belief import is_crisp
 from ibsest.estimator import _initial_point, _objective_batch, _repair, _trial_offsets
+from ibsest.io import parse_observation_file
 from ibsest.likelihood import _greedy_mass_value, likelihood_bounds
 
 # The kernel adds in order, as the builtin sum() of floats does before
@@ -84,8 +86,8 @@ def scalar_objective(observations, lo, hi, alpha):
 
 
 def mass_source(tables):
-    """Where a search's kernel takes the greedy masses from: the sorting
-    kernel's argsort where the order table would exceed the budget."""
+    """Where a search's kernel takes the greedy masses from: an argsort of
+    each row where the order table would exceed the budget."""
     if not tables.fill:
         return "lower bounds"
     return "argsort" if tables.orders is None else "order table"
@@ -129,7 +131,7 @@ def test_kernel_matches_scalar_path_and_oracle(q):
         values = _objective_batch(observations.tables, x, alpha)
         # a search's kernel, in its workspace, gives the same bits
         searched = likelihood.with_workspace(observations.tables, q)
-        assert (searched.work is None) == (source == "argsort")
+        assert (searched.work.masses is None) == (source != "order table")
         assert [b.tobytes() for b in likelihood_bounds(searched, lo, hi)] == [
             k_lo.tobytes(), k_hi.tobytes()]
         assert _objective_batch(searched, x, alpha).tobytes() == values.tobytes()
@@ -300,6 +302,32 @@ def test_search_workspace_blocks_match_single_rows(name, request, monkeypatch):
     block = peak(rows) - 16 * rows
     assert block < searched.work._buffer.nbytes / 4
     assert peak(20_000) - 16 * 20_000 <= block + (1 << 12)
+
+
+def test_one_off_calls_compile_no_order_table_and_are_reentrant(fixtures):
+    observations = parse_observation_file(fixtures / "table5.obs")  # fresh tables
+    q = observations.frame.size
+    lo, hi = _repair(np.random.default_rng(13).random((64, 2 * q)))
+    thetas = [IntervalProbabilities(observations.frame, tuple(l), tuple(h))
+              for l, h in zip(lo.tolist(), hi.tolist())]
+
+    def score(theta):
+        return objective(theta, observations, 2.0).hex()
+
+    sequential = [score(theta) for theta in thetas]
+    # each one-off call sorts its rows in a workspace of its own; only a
+    # search compiles the order table, although table5's fits the budget
+    assert "orders" not in observations.tables.__dict__
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that calls interleave
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(5):
+                assert list(pool.map(score, thetas, timeout=60)) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+    assert "orders" not in observations.tables.__dict__
+    assert observations.tables.orders is not None
 
 
 def test_joint_likelihood_rejects_infeasible_theta(table1):
