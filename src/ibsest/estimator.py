@@ -97,16 +97,16 @@ def _repair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (N, q) results are views of those (q, N) rows.
     """
     q = x.shape[1] // 2
-    xt = np.ascontiguousarray(x.T)
-    lo = np.clip(np.minimum(xt[:q], xt[q:]), 0.0, 1.0)
-    hi = np.clip(np.maximum(xt[:q], xt[q:]), 0.0, 1.0)
+    xt = _clip_unit(x.T.copy())
+    lo = np.minimum(xt[:q], xt[q:])
+    hi = np.maximum(xt[:q], xt[q:], out=xt[q:])
     s_lo = sum_in_order(lo.T)
-    lo /= np.where(s_lo > 1.0, s_lo, 1.0)
+    np.divide(lo, s_lo, out=lo, where=s_lo > 1.0)
     s_hi = sum_in_order(hi.T)
     short = s_hi < 1.0
     # q - s_hi > 0 wherever s_hi < 1: the room left toward 1
-    scale = np.divide(1.0 - s_hi, q - s_hi, out=np.zeros_like(s_hi), where=short)
-    hi = np.where(short, hi + scale * (1.0 - hi), hi)
+    scale = np.divide(1.0 - s_hi, q - s_hi, out=1.0 - s_hi, where=short)
+    np.add(hi, scale * (1.0 - hi), out=hi, where=short)
     return lo.T, hi.T
 
 
@@ -118,11 +118,17 @@ def _objective_batch(tables: MassTables, x: np.ndarray, alpha: float) -> np.ndar
     """
     lo, hi = _repair(x)
     l_lo, l_hi = likelihood_bounds(tables, lo, hi)
+    width = hi - lo  # alpha 1 skips the pow: one within an ulp gives x ** 1 as x
+    ign = sum_in_order(width if alpha == 1.0 else np.float_power(width, alpha, out=width))
     mid = (l_lo + l_hi) / 2.0
     hw = (l_hi - l_lo) / 2.0
-    dist = np.sqrt(mid * mid + hw * hw / 3.0)
-    ign = sum_in_order(np.float_power(hi - lo, alpha)) / lo.shape[1]
-    return dist - ign
+    return np.sqrt(mid * mid + hw * hw / 3.0) - ign / lo.shape[1]
+
+
+def _clip_unit(a: np.ndarray) -> np.ndarray:
+    """``a`` clipped to [0, 1] in place: ``np.clip`` but for -0.0, which no point
+    holds (starts are >= +0.0; a sum is -0.0 only if both terms are)."""
+    return np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
 
 
 def _trial_offsets(q: int) -> np.ndarray:
@@ -160,21 +166,23 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     leaves off at its first surprise: an improving trial that was not
     predicted (taken, as a lone restart would) or a predicted accept that
     does not improve (skipped). A restart takes only the sweep it is in. So
-    predictions save rounds: each path is the one polled alone.
+    predictions save rounds: each path is the one polled alone. Most rounds
+    predict nothing: each trial polls from its restart's point and value.
 
     A sweep's outcome depends only on its start point and step. A memo
     keyed by that pair records each sweep a restart ends, and each later
     sweep a chain polled, whole or as far as it got. A restart that starts
     a sweep recorded whole replays it, evaluating nothing, and goes on to
     the next; one that starts a sweep left part-way takes it over and polls
-    on; one that starts a sweep another restart polls waits. The key alone
-    decides what a restart takes.
+    on; one that starts a sweep another restart polls waits under the key
+    for the record. The key alone decides what a restart takes. One routine
+    closes the sweeps that end, polled or replayed, one restart at a time.
 
     Returns the final points, values, sweeps and converged flags, and the
     counters of :class:`EstimationResult`.
     """
     offsets = _trial_offsets(x0.shape[1] // 2)
-    n_trials = len(offsets)
+    n_trials, budget = len(offsets), config.max_iterations_per_start
     block = block_rows(tables)
     # every round evaluates in one set of kernel arrays
     tables = with_workspace(tables, x0.shape[1] // 2)
@@ -182,92 +190,107 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     f = _objective_batch(tables, x, alpha)
     rounds, evaluations, replayed, predicted, held = 1, len(x), 0, 0, 0
     # (start point, step) -> the packed state the sweep reached (point, f, gain,
-    # next trial, accepted flags), or None while its owner in ``polling`` polls it
-    memo, polling = {}, {}
+    # next trial, accepted flags), or None while its owner in ``polling`` polls it;
+    # ``waiting`` holds, per such key, the restarts that wait for it, in restart order
+    memo, polling, waiting = {}, {}, {}
     step = np.full(len(x), _INITIAL_STEP)
     sweeps = np.ones(len(x), dtype=int)
     gain = np.zeros(len(x))
     pos = np.zeros(len(x), dtype=int)  # next trial of the current sweep, n_trials once stopped
     accepted = np.zeros((len(x), n_trials), dtype=bool)  # in the current sweep
-    last = np.zeros_like(accepted)  # in the last completed sweep
     stable = np.zeros_like(accepted)  # the predicted set
+    moves = step[:, None, None] * offsets  # each restart's trials, as moves from its point
+    nothing = bytes(n_trials)
+    last = [nothing] * len(x)  # the accepted flags of the last completed sweep, as bytes
+
+    def take(r, packed):  # restart r takes the state a memo entry packs
+        saved = np.frombuffer(packed, count=x.shape[1] + 3)
+        x[r], f[r], gain[r], pos[r] = saved[:-3], saved[-3], saved[-2], saved[-1]
+        accepted[r] = np.frombuffer(packed, dtype=bool, offset=saved.nbytes)
 
     def end_sweeps(ended):
-        """Close the sweeps of ``ended``; return who starts another."""
+        """Close the sweeps of ``ended``, restart by restart; return who starts another."""
         nonlocal predicted, held
-        if not ended.size:
-            return ended
-        done, guess = accepted[ended], stable[ended]
-        guessed = guess.any(axis=1)
-        predicted += int(guessed.sum())
-        held += int((guessed & (done == guess).all(axis=1)).sum())
-        twice = (done == last[ended]).all(axis=1) & done.any(axis=1)
-        stable[ended[twice]] = done[twice]
-        last[ended] = done
-        accepted[ended] = False
-        flat = ended[gain[ended] <= _MIN_GAIN]
-        step[flat] /= 2.0
-        stable[flat] = False
-        stops = (step[ended] < _MIN_STEP) | (sweeps[ended] >= config.max_iterations_per_start)
-        again = ended[~stops]
-        sweeps[again] += 1
-        gain[again], pos[again] = 0.0, 0
+        again = []
+        for r in ended:
+            done, guess = accepted[r].tobytes(), stable[r].tobytes()
+            predicted += guess != nothing
+            held += done == guess != nothing
+            if done == last[r] != nothing:
+                stable[r] = accepted[r]
+            last[r] = done
+            accepted[r] = False
+            if gain[r] <= _MIN_GAIN:
+                step[r] /= 2.0
+                stable[r] = False
+                np.multiply(step[r], offsets, out=moves[r])
+            if step[r] >= _MIN_STEP and sweeps[r] < budget:
+                sweeps[r] += 1
+                gain[r], pos[r] = 0.0, 0
+                again.append(r)
         return again
 
-    while (pos < n_trials).any():
-        starting = np.flatnonzero(pos == 0)
-        while starting.size:  # replay recorded sweeps until one is not recorded
-            for r in starting.tolist():
+    starting, replays = list(range(len(x))), []  # replays: sweeps taken whole, to close
+    while True:
+        while starting or replays:  # replay recorded sweeps until one is not recorded
+            for r in starting:  # in restart order: the first to start a sweep owns it
                 key = x[r].tobytes() + step[r].tobytes()
                 packed = memo.get(key, b"")
+                if packed is None:  # being polled: wait for the record
+                    waiting.setdefault(key, []).append(r)
+                    continue
                 if packed:  # recorded, whole or left part-way
-                    saved = np.frombuffer(packed, count=x.shape[1] + 3)
-                    x[r], f[r], gain[r], pos[r] = saved[:-3], saved[-3], saved[-2], saved[-1]
-                    accepted[r] = np.frombuffer(packed, dtype=bool, offset=saved.nbytes)
-                if pos[r] < n_trials and packed is not None:  # r owns the sweep, polls from pos
+                    take(r, packed)
+                if pos[r] < n_trials:  # r owns the sweep, polls from pos
                     memo[key], polling[r] = None, key
-            replays = starting[pos[starting] == n_trials]
+                else:
+                    replays.append(r)
             replayed += len(replays)
-            starting = end_sweeps(replays)
+            starting, replays = sorted(end_sweeps(replays)), []
+        if not polling:
+            break
         poll = np.array(sorted(polling), dtype=int)  # the owners poll; the rest wait
-        if not poll.size:
-            continue
         # each polling restart's share of a kernel block (ceil); a predicting one
         # polls to its sweep's end, then the next sweeps its share and budget hold
         share = -(-block // len(poll))
         start = pos[poll]
-        predicting = stable[poll].any(axis=1)
+        predicting = np.logical_or.reduce(stable[poll], axis=1)
         stop = np.where(predicting, n_trials, np.minimum(start + share, n_trials))
         more = np.minimum(np.maximum((start + share) // n_trials - 1, 0) * predicting,
-                          config.max_iterations_per_start - sweeps[poll])
+                          budget - sweeps[poll])
         # a segment per sweep, restart by restart: [start, stop), then whole sweeps;
         # the round's trials are the segments' trials in order, segment s holding
         # trials edge[s]:edge[s + 1]
-        seg = np.repeat(poll, more + 1)
-        head = np.cumsum(more + 1) - more - 1
-        first, span = np.zeros_like(seg), np.full(len(seg), n_trials)
+        seg = poll.repeat(more + 1)
+        head = (more + 1).cumsum() - more - 1
+        first, span = np.zeros(len(seg), dtype=int), np.full(len(seg), n_trials)
         first[head], span[head] = start, stop - start
-        edge = np.concatenate([[0], np.cumsum(span)])
-        sid = np.repeat(np.arange(len(seg)), span)  # each trial's segment
-        t = np.arange(edge[-1]) - np.repeat(edge[:-1] - first, span)  # its trial index
+        edge = np.concatenate(([0], span.cumsum()))
+        sid = np.arange(len(seg)).repeat(span)  # each trial's segment
+        t = np.arange(edge[-1]) - (edge[:-1] - first).repeat(span)  # its trial index
         who = seg[sid]  # its restart
         guess = stable[who, t]  # whether it is a predicted accept
-        # a trial polls from the point the predicted accepts before it in its
-        # restart's chain reach: ``reach[depth]``, the first ``depth`` of them
-        depth = np.cumsum(guess) - guess
-        depth -= np.repeat(depth[edge[head]], np.add.reduceat(span, head))
-        g = np.flatnonzero(guess)
-        reach = np.repeat(x[None], (depth + guess).max() + 1, axis=0)
-        reach[depth[g] + 1, who[g]] = step[who[g], None] * offsets[t[g]]
-        for d in range(1, len(reach)):
-            reach[d] = np.clip(reach[d - 1] + reach[d], 0.0, 1.0)
-        base = reach[depth, who]
-        trials = np.clip(base + step[who, None] * offsets[t], 0.0, 1.0)
+        g = guess.nonzero()[0]
+        base = x[who]  # with nothing predicted, each trial polls from its restart's point
+        if g.size:
+            # a trial polls from the point the predicted accepts before it in its
+            # restart's chain reach: ``reach[depth]``, the first ``depth`` of them
+            depth = guess.cumsum() - guess
+            depth -= depth[edge[head]].repeat(np.add.reduceat(span, head))
+            moved = np.zeros(((depth + guess).max() + 1, *x.shape))
+            moved[0] = x
+            moved[depth[g] + 1, who[g]] = moves[who[g], t[g]]
+            reach = np.add.accumulate(moved, axis=0)
+            if reach.min() < 0.0 or reach.max() > 1.0:  # a move leaves the box: clip each
+                for d in range(1, len(reach)):
+                    _clip_unit(np.add(reach[d - 1], moved[d], out=reach[d]))
+            base = reach[depth, who]
+        trials = _clip_unit(base + moves[who, t])
         # a trial clipped back onto its base point is skipped, not polled
-        todo = (trials != base).any(axis=1)
+        todo = np.logical_or.reduce(trials != base, axis=1)
         # a chain stops before a sweep in the memo (recorded or being polled) or planned
         chained = {}  # start key -> segment of each later sweep a chain polls
-        for i in np.flatnonzero(more).tolist():
+        for i in more.nonzero()[0].tolist():
             for s in range(head[i] + 1, head[i] + more[i] + 1):
                 key = base[edge[s]].tobytes() + step[poll[i]].tobytes()
                 if key in memo or key in chained:
@@ -279,22 +302,25 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
             values[todo] = _objective_batch(tables, trials[todo], alpha)
             rounds += 1
             evaluations += int(todo.sum())
-        # the value each trial must beat: what the predicted accepts before it
-        # reached, where a skipped accept keeps the value of its base point
-        ref = np.repeat(f[None], len(reach), axis=0)
-        ref[depth[g] + 1, who[g]] = values[g]
-        for d in np.flatnonzero(np.isneginf(ref).any(axis=1)):
-            ref[d] = np.where(np.isneginf(ref[d]), ref[d - 1], ref[d])
-        ref = ref[depth, who]
+        ref = f[who]  # the value each trial must beat, with nothing predicted
+        if g.size:
+            # what the predicted accepts before it reached, where a skipped accept
+            # keeps the value of its base point
+            ref = f[None].repeat(len(reach), axis=0)
+            ref[depth[g] + 1, who[g]] = values[g]
+            skipped = ref == -np.inf
+            for d in np.logical_or.reduce(skipped, axis=1).nonzero()[0]:
+                np.copyto(ref[d], ref[d - 1], where=skipped[d])
+            ref = ref[depth, who]
         better = values > ref
         # a segment leaves off at its first surprise, an improving trial that was
         # not predicted (taken) or a predicted accept that does not improve
         # (skipped), or else at its last trial
         surprise = better != guess
         surprise[edge[1:] - 1] = True
-        cut = np.flatnonzero(surprise)
-        cut = cut[np.searchsorted(cut, edge[:-1])]
-        acc = np.flatnonzero(better & (np.arange(len(t)) <= np.repeat(cut, span)))
+        cut = surprise.nonzero()[0]
+        cut = cut[cut.searchsorted(edge[:-1])]
+        acc = (better & (np.arange(len(t)) <= cut.repeat(span))).nonzero()[0]
         gains = np.zeros(len(seg))
         gains[head] = gain[poll]
         np.add.at(gains, sid[acc], values[acc] - ref[acc])  # in accept order
@@ -306,14 +332,18 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
         seg_pos = t[cut] + 1
         x[poll], f[poll], pos[poll] = seg_x[head], seg_f[head], seg_pos[head]
         gain[poll], accepted[poll] = gains[head], done[head]
+        # record each ended sweep under its owner's key, each later chain sweep under
+        # its start; the restarts waiting for an owner's key take its record
         finished = pos[poll] == n_trials
-        ended = poll[finished]
-        # record each ended sweep under its owner's key, each later chain sweep under its start
-        records = [(polling.pop(r), s) for r, s in zip(ended.tolist(), head[finished].tolist())]
-        state = np.column_stack([seg_x, seg_f, gains, seg_pos])
+        ended = poll[finished].tolist()
+        records = [(polling.pop(r), s) for r, s in zip(ended, head[finished].tolist())]
+        state = np.concatenate([seg_x, np.array([seg_f, gains, seg_pos]).T], axis=1)
         for key, s in [*records, *chained.items()]:
             memo[key] = state[s].tobytes() + done[s].tobytes()
-        end_sweeps(ended)
+            for r in waiting.pop(key, ()):
+                take(r, memo[key])
+                replays.append(r)
+        starting = end_sweeps(ended)
     return x, f, sweeps, step < _MIN_STEP, dict(
         rounds=rounds, evaluations=evaluations, replayed=replayed, predicted=predicted, held=held)
 

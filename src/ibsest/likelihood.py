@@ -254,11 +254,10 @@ def likelihood_bounds(
     if work is None:
         work = Workspace(tables, lo.shape[1], max(1, min(len(lo), block_rows(tables))))
     rows = work.rows
-    l_lo, l_hi = np.empty(len(lo)), np.empty(len(lo))
+    out = np.empty((2, len(lo)))
     for i in range(0, len(lo), rows):
-        l_lo[i : i + rows], l_hi[i : i + rows] = _block_bounds(
-            work, lo[i : i + rows], hi[i : i + rows])
-    return l_lo, l_hi
+        out[:, i : i + rows] = _block_bounds(work, lo[i : i + rows], hi[i : i + rows])
+    return out[0], out[1]
 
 
 def _block_bounds(work: Workspace, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -344,7 +343,7 @@ class Workspace:
         theta[q] = 0.0
         s_lo, s_hi = _sum_rows(theta[:q], w.sums)
         # the indices are in range; a mode other than "raise" writes out unbuffered
-        members = np.take(theta, self.focal, axis=0, out=w.members, mode="clip")
+        members = theta.take(self.focal, axis=0, out=w.members, mode="clip")
         inner = _sum_rows(members, members[0])  # (D, 2, N) subset sums
         d = inner.shape[0]
         costs = w.costs[:d]  # (D, 2, N), as in _focal_bounds
@@ -357,7 +356,7 @@ class Workspace:
         np.minimum(inner[:, 1], c_hi, out=c_hi)
         np.maximum(costs, 0.0, out=costs)
         np.minimum(costs, 1.0, out=costs)
-        c = np.take(w.costs, self.which, axis=0, out=w.entries, mode="clip")  # (K, n, 2, N)
+        c = w.costs.take(self.which, axis=0, out=w.entries, mode="clip")  # (K, n, 2, N)
 
         if not self.fill:  # no box has mass to place, so every take is 0
             c *= self.a  # the terms mass * c, with mass = a
@@ -366,7 +365,7 @@ class Workspace:
             # the upper, ties by focal-element index; padding entries last.
             np.negative(c_hi, out=c_hi)
             w.costs[d] = np.inf
-            keys = np.take(w.costs, self.keyed, axis=0, out=w.keys, mode="clip")
+            keys = w.costs.take(self.keyed, axis=0, out=w.keys, mode="clip")
             c *= self._sorted_masses(keys) if self.masses is None else self._table_masses(keys, w)
         v = _sum_rows(c, c[0])  # (n, 2, N)
         np.maximum(v, 0.0, out=v)
@@ -399,7 +398,7 @@ class Workspace:
             count *= j + 1
             count += r
         code = np.add(self.offset, count, out=w.code)
-        return np.take(self.masses, code, axis=1, out=keys, mode="clip")
+        return self.masses.take(code, axis=1, out=keys, mode="clip")
 
     def _sorted_masses(self, keys: np.ndarray) -> np.ndarray:
         """The greedy masses, (K, n, 2, N), by a stable argsort of each row's

@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ibsest import (
     EstimatorConfig,
@@ -25,12 +26,14 @@ from ibsest import (
     ibs_likelihood_bruteforce,
     joint_likelihood,
     objective,
+    validate_ibs,
 )
 from ibsest import estimator, likelihood
 from ibsest.belief import is_crisp
 from ibsest.estimator import _initial_point, _objective_batch, _repair, _trial_offsets
 from ibsest.io import parse_observation_file
 from ibsest.likelihood import _greedy_mass_value, likelihood_bounds
+from test_estimator import observation_sets
 
 # The kernel adds in order, as the builtin sum() of floats does before
 # Python 3.12; from 3.12 on, sum() compensates its rounding.
@@ -450,6 +453,27 @@ def test_lockstep_search_follows_sequential_paths(table3):
         assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
 
 
+@settings(max_examples=20, deadline=None)
+@given(observations=observation_sets(), alpha=st.sampled_from([1.0, 2.0, 3.5]),
+       seed=st.integers(0, 2**16), copied=st.integers(0, 3), at=st.integers(0, 4))
+def test_lockstep_search_equals_one_restart_at_a_time(observations, alpha, seed, copied, at):
+    # four restarts and a copy of one of them, before or after it in restart
+    # order: the first of the two to start a sweep polls it, and the other
+    # waits for its record and replays it
+    assume(all(validate_ibs(o).ok for o in observations.observations))
+    q = observations.frame.size
+    config = EstimatorConfig(alpha=alpha, seed=seed, max_iterations_per_start=12)
+    starts = [_initial_point(r, q, seed) for r in range(4)]
+    starts.insert(at, starts[copied])
+    x0 = np.array(starts)
+    x, f, sweeps, converged, counts = estimator._pattern_search(
+        observations.tables, x0, alpha, config)
+    assert counts["replayed"] >= 1
+    for r in range(len(x0)):
+        ref = sequential_search(observations.tables, starts[r], alpha, config)
+        assert (x[r].tolist(), f[r], sweeps[r], converged[r]) == ref
+
+
 @pytest.mark.parametrize("one_row_blocks", [False, True],
                          ids=["default_blocks", "one_row_blocks"])
 def test_cycling_restart_follows_sequential_path_in_fewer_rounds(
@@ -612,3 +636,25 @@ def test_block_sized_rounds_keep_paths_and_cut_rows(table5, monkeypatch):
     # 48,292 rows when every round submits the rest of each sweep
     assert whole[4]["evaluations"] > 45_000
     assert blocked[4]["evaluations"] < 25_000
+
+
+def test_search_signature(table1, table3, table5):
+    # every result bit of 36 searches (the paper's tables at alpha 1, 2 and 3,
+    # two seeds, a long and a short budget), hashed: any change to a search
+    # path, round or counter changes it
+    tables = dict(table1=table1, table3=table3, table5=table5)
+    lines = []
+    for (name, observations), alpha, seed, (restarts, budget) in itertools.product(
+            tables.items(), (1.0, 2.0, 3.0), (3, 21), ((16, 250), (5, 40))):
+        result = estimate(observations, EstimatorConfig(
+            alpha=alpha, seed=seed, restarts=restarts, max_iterations_per_start=budget))
+        counters = [getattr(result, c)
+                    for c in ("rounds", "evaluations", "replayed", "predicted", "held")]
+        assert all(type(c) is int for c in counters)
+        theta = result.theta.lowers + result.theta.uppers
+        lines.append(repr((name, alpha, seed, restarts, [v.hex() for v in theta],
+                           result.objective.hex(), counters,
+                           [(r.objective.hex(), r.sweeps, r.converged)
+                            for r in result.restarts])))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5efd49de7f776014cde1f3379056c38020fcb25d6016f2f5df7b47a16e28c6c7"
