@@ -97,7 +97,7 @@ def _repair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (N, q) results are views of those (q, N) rows.
     """
     q = x.shape[1] // 2
-    xt = _clip_unit(x.T.copy())
+    xt = x.T.copy().clip(0.0, 1.0)
     lo = np.minimum(xt[:q], xt[q:])
     hi = np.maximum(xt[:q], xt[q:], out=xt[q:])
     s_lo = sum_in_order(lo.T)
@@ -118,17 +118,11 @@ def _objective_batch(tables: MassTables, x: np.ndarray, alpha: float) -> np.ndar
     """
     lo, hi = _repair(x)
     l_lo, l_hi = likelihood_bounds(tables, lo, hi)
-    width = hi - lo  # alpha 1 skips the pow: one within an ulp gives x ** 1 as x
-    ign = sum_in_order(width if alpha == 1.0 else np.float_power(width, alpha, out=width))
+    width = hi - lo
+    ign = sum_in_order(np.float_power(width, alpha, out=width))
     mid = (l_lo + l_hi) / 2.0
     hw = (l_hi - l_lo) / 2.0
     return np.sqrt(mid * mid + hw * hw / 3.0) - ign / lo.shape[1]
-
-
-def _clip_unit(a: np.ndarray) -> np.ndarray:
-    """``a`` clipped to [0, 1] in place: ``np.clip`` but for -0.0, which no point
-    holds (starts are >= +0.0; a sum is -0.0 only if both terms are)."""
-    return np.minimum(np.maximum(a, 0.0, out=a), 1.0, out=a)
 
 
 def _trial_offsets(q: int) -> np.ndarray:
@@ -199,7 +193,6 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
     pos = np.zeros(len(x), dtype=int)  # next trial of the current sweep, n_trials once stopped
     accepted = np.zeros((len(x), n_trials), dtype=bool)  # in the current sweep
     stable = np.zeros_like(accepted)  # the predicted set
-    moves = step[:, None, None] * offsets  # each restart's trials, as moves from its point
     nothing = bytes(n_trials)
     last = [nothing] * len(x)  # the accepted flags of the last completed sweep, as bytes
 
@@ -223,7 +216,6 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
             if gain[r] <= _MIN_GAIN:
                 step[r] /= 2.0
                 stable[r] = False
-                np.multiply(step[r], offsets, out=moves[r])
             if step[r] >= _MIN_STEP and sweeps[r] < budget:
                 sweeps[r] += 1
                 gain[r], pos[r] = 0.0, 0
@@ -277,15 +269,12 @@ def _pattern_search(tables: MassTables, x0: np.ndarray, alpha: float,
             # restart's chain reach: ``reach[depth]``, the first ``depth`` of them
             depth = guess.cumsum() - guess
             depth -= depth[edge[head]].repeat(np.add.reduceat(span, head))
-            moved = np.zeros(((depth + guess).max() + 1, *x.shape))
-            moved[0] = x
-            moved[depth[g] + 1, who[g]] = moves[who[g], t[g]]
-            reach = np.add.accumulate(moved, axis=0)
-            if reach.min() < 0.0 or reach.max() > 1.0:  # a move leaves the box: clip each
-                for d in range(1, len(reach)):
-                    _clip_unit(np.add(reach[d - 1], moved[d], out=reach[d]))
+            reach = x[None].repeat((depth + guess).max() + 1, axis=0)
+            reach[depth[g] + 1, who[g]] = step[who[g], None] * offsets[t[g]]
+            for d in range(1, len(reach)):
+                np.add(reach[d - 1], reach[d], out=reach[d]).clip(0.0, 1.0, out=reach[d])
             base = reach[depth, who]
-        trials = _clip_unit(base + moves[who, t])
+        trials = (base + step[who, None] * offsets[t]).clip(0.0, 1.0)
         # a trial clipped back onto its base point is skipped, not polled
         todo = np.logical_or.reduce(trials != base, axis=1)
         # a chain stops before a sweep in the memo (recorded or being polled) or planned
